@@ -7,6 +7,10 @@ The machinery that certifies the splitting also lives here: the character
 matrices A, C, R and B = CA over the cyclotomic field, the exact rank of
 B, the Gauss-sum closed form for AR, and the numeric slash-operator
 consistency check that ties the matrices back to actual evaluations.
+Every entry of A and C is a 4m-th root of unity and R is one common
+prefactor times such a table, so B and AR are computed from integer
+exponent tables: each entry counts the exponents of its terms and is
+reduced into the power basis once.
 """
 
 from __future__ import annotations
@@ -168,18 +172,38 @@ class ProofMatrices:
     B: tuple[tuple[CyclotomicNumber, ...], ...]
 
 
-def _matmul(x, y):
-    inner = len(y)
-    cols = len(y[0])
+def _character_tables(m: int):
+    """Exponents mod 4m of the roots of unity in A, C and R.
+
+    Returns the units j, the three tables and R's common prefactor
+    e(-1/8) sqrt(2m)/2m.
+    """
+    n4 = 4 * m
+    dim = 2 * m
+    js = coprime_residues(n4)
+    a = [[j * g * g % n4 for g in range(dim)] for j in js]
+    c = [[-j * b * b % n4 for j in js] for b in range(dim)]
+    r = [[-2 * l * g % n4 for g in range(dim)] for l in range(dim)]
+    return js, a, c, r, root_of_unity(-1, 8) * sqrt_nat(dim) / dim
+
+
+def _root_product(x, y, n: int, scale=None):
+    """scale * sum_t e((x[i][t] + y[t][j])/n) for two exponent tables.
+
+    Each entry counts its exponents and is reduced once, so no
+    intermediate field element is built.
+    """
     out = []
     for row in x:
-        acc_row = []
-        for c in range(cols):
-            acc = row[0] * y[0][c]
-            for t in range(1, inner):
-                acc = acc + row[t] * y[t][c]
-            acc_row.append(acc)
-        out.append(tuple(acc_row))
+        out_row = []
+        for col in zip(*y):
+            counts: dict[int, int] = {}
+            for e, f in zip(row, col):
+                k = (e + f) % n
+                counts[k] = counts.get(k, 0) + 1
+            val = CyclotomicNumber.from_exponent_dict(n, counts)
+            out_row.append(val if scale is None else val * scale)
+        out.append(tuple(out_row))
     return tuple(out)
 
 
@@ -188,20 +212,11 @@ def build_proof_matrices(m: int) -> ProofMatrices:
     if not isinstance(m, int) or m < 1:
         raise ValueError("index m must be a positive integer")
     n4 = 4 * m
-    dim = 2 * m
-    js = coprime_residues(n4)
-    a = tuple(
-        tuple(root_of_unity(j * g * g, n4) for g in range(dim)) for j in js
-    )
-    c = tuple(
-        tuple(root_of_unity(-j * b * b, n4) for j in js) for b in range(dim)
-    )
-    pref = root_of_unity(-1, 8) * sqrt_nat(dim) / dim
-    r = tuple(
-        tuple(pref * root_of_unity(-l * g, dim) for g in range(dim))
-        for l in range(dim)
-    )
-    return ProofMatrices(m, js, a, c, r, _matmul(c, a))
+    js, xa, xc, xr, pref = _character_tables(m)
+    a = tuple(tuple(root_of_unity(e, n4) for e in row) for row in xa)
+    c = tuple(tuple(root_of_unity(e, n4) for e in row) for row in xc)
+    r = tuple(tuple(pref * root_of_unity(e, n4) for e in row) for row in xr)
+    return ProofMatrices(m, js, a, c, r, _root_product(xc, xa, n4))
 
 
 def b_entry_bruteforce(m: int, beta: int, gamma: int) -> int:
@@ -301,10 +316,10 @@ def gauss_sum_identity_check(m: int) -> bool:
     The row for the unit j must equal (4m/j) eps_j^-1 e(-j^-1 gamma^2/4m)
     with j^-1 the inverse mod 4m and (4m/j) the Kronecker symbol.
     """
-    mats = build_proof_matrices(m)
     n4 = 4 * m
-    ar = _matmul(mats.A, mats.R)
-    for row, j in enumerate(mats.j_list):
+    js, xa, _, xr, pref = _character_tables(m)
+    ar = _root_product(xa, xr, n4, pref)
+    for row, j in enumerate(js):
         jinv = inverse_mod(j, n4)
         front = kronecker(n4, j) * _epsilon_inverse(j)
         for g in range(2 * m):

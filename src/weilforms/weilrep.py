@@ -6,15 +6,18 @@ Generator action on the standard basis (e_gamma), with sigma = b+ - b-:
     rho(S) e_gamma = (e(-sigma/8)/sqrt(2m)) sum_delta e(-(gamma,delta)) e_delta
 
 Arbitrary elements are evaluated as products of generator matrices along a
-word from mp_decompose, with rho(Z) = rho(S)^2.  The dual representation
-conjugates every entry after evaluation on the same word.
+word from mp_decompose.  The center acts by the signed permutation
+rho(Z) e_gamma = e(-sigma/4) e_{-gamma}, which is rho(S)^2 without the dense
+products.  The dual representation conjugates every entry after evaluation
+on the same word.
 
 Matrices are stored in a scaled-integer form: entries are formal integer
 combinations of powers of zeta_N (N = lcm(8, 4m)) with a global prefactor
 (e(-sigma/8)/sqrt(2m))^s_power, where s_power counts the S-factors used.
 Products then only ever convolve integer exponent tables, and entries are
 re-reduced into the power basis after every step so the tables stay small.
-Materialized entries are exact CyclotomicNumbers.
+Equality compares the tables themselves once the prefactor powers are
+aligned; materialized entries are exact CyclotomicNumbers.
 """
 
 from __future__ import annotations
@@ -123,27 +126,17 @@ class WeilMatrix:
                     right = b[k][j]
                     if not right:
                         continue
-                    if len(left) == 1:
-                        ((e, c),) = left.items()
-                        if c == 1:
-                            _add_shifted(acc, right, e, n)
-                        else:
-                            for e2, c2 in right.items():
-                                k2 = (e + e2) % n
-                                v = acc.get(k2, 0) + c * c2
-                                if v:
-                                    acc[k2] = v
-                                else:
-                                    acc.pop(k2, None)
-                    else:
-                        for e, c in left.items():
-                            for e2, c2 in right.items():
-                                k2 = (e + e2) % n
-                                v = acc.get(k2, 0) + c * c2
-                                if v:
-                                    acc[k2] = v
-                                else:
-                                    acc.pop(k2, None)
+                    if len(left) == 1 and 1 in left.values():
+                        _add_shifted(acc, right, next(iter(left)), n)
+                        continue
+                    for e, c in left.items():
+                        for e2, c2 in right.items():
+                            k2 = (e + e2) % n
+                            v = acc.get(k2, 0) + c * c2
+                            if v:
+                                acc[k2] = v
+                            else:
+                                acc.pop(k2, None)
                 row.append(canonical_exponent_dict(n, acc))
             out.append(row)
         return WeilMatrix(self.df, out, self._s_power + other._s_power, self.dual)
@@ -173,12 +166,7 @@ class WeilMatrix:
         return self.conjugate().transpose()
 
     def is_identity(self) -> bool:
-        ent = self.entries()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if ent[i][j] != (1 if i == j else 0):
-                    return False
-        return True
+        return self == identity_matrix(self.df)
 
     def is_unitary(self) -> bool:
         return (self @ self.conjugate_transpose()).is_identity()
@@ -188,8 +176,28 @@ class WeilMatrix:
             return NotImplemented
         if self.df != other.df:
             return False
-        a, b = self.entries(), other.entries()
-        return all(a[i][j] == b[i][j] for i in range(self.dim) for j in range(self.dim))
+        # raw_a P^sa = raw_b P^sb with P = e(-sigma/8)/sqrt(2m) and sa >= sb
+        # is e(-sigma d/8) sqrt(2m)^(d mod 2) raw_a = (2m)^ceil(d/2) raw_b
+        hi, lo = (self, other) if self._s_power >= other._s_power else (other, self)
+        d = hi._s_power - lo._s_power
+        n = self.order
+        shift = (-self.df.signature_delta * d * (n // 8)) % n
+        root = {0: 1}
+        if d % 2:  # sqrt(2m) has integer coordinates in Q(zeta_n)
+            sqrt = sqrt_nat(2 * self.df.m).lift(n).coefficients
+            root = {j: int(c) for j, c in enumerate(sqrt) if c}
+        scale = (2 * self.df.m) ** ((d + 1) // 2)
+        for row_hi, row_lo in zip(hi._raw, lo._raw):
+            for x, y in zip(row_hi, row_lo):
+                acc: dict[int, int] = {}
+                for e, c in root.items():
+                    for e2, c2 in x.items():
+                        k = e + e2 + shift
+                        acc[k] = acc.get(k, 0) + c * c2
+                rhs = {e: c * scale for e, c in y.items()}
+                if canonical_exponent_dict(n, acc) != canonical_exponent_dict(n, rhs):
+                    return False
+        return True
 
     __hash__ = None
 
@@ -255,9 +263,8 @@ def rho_S(df: DiscriminantForm) -> WeilMatrix:
 
 
 def rho_Z(df: DiscriminantForm) -> WeilMatrix:
-    """The center generator, evaluated as rho(S)^2."""
-    s = rho_S(df)
-    return s @ s
+    """The center generator: rho(Z) e_gamma = e(-sigma/4) e_{-gamma}."""
+    return WeilMatrix(df, *_left_Z(df, _identity_raw(df.size), 0, 1))
 
 
 # -- word evaluation ----------------------------------------------------
@@ -281,20 +288,32 @@ def _left_S(df, raw, s_power, inverse: bool = False):
     sign = 1 if inverse else -1
     new = []
     for delta in range(dim):
-        row: list[dict] = [dict() for _ in range(dim)]
+        row: list[dict] = [dict() for _ in raw[0]]
         for gamma in range(dim):
             src = raw[gamma]
             shift = (sign * delta * gamma * u + extra) % n
-            for beta in range(dim):
+            for beta in range(len(src)):
                 if src[beta]:
                     _add_shifted(row[beta], src[beta], shift, n)
         new.append([canonical_exponent_dict(n, d) for d in row])
     return new, s_power + 1
 
 
-def _apply_word(df: DiscriminantForm, word: Word):
-    """Raw matrix for rho(word), built right-to-left over the tokens."""
-    raw = _identity_raw(df.size)
+def _left_Z(df, raw, s_power, power: int):
+    """rho(Z)^power times raw: row delta becomes e(-sigma power/4) row (-1)^power delta."""
+    if power % 4 == 0:
+        return raw, s_power
+    n = df.field_order
+    shift = (-df.signature_delta * power * (n // 4)) % n
+    sign = -1 if power % 2 else 1
+    dim = len(raw)
+    return [[_shift(d, shift, n) for d in raw[(sign * g) % dim]] for g in range(dim)], s_power
+
+
+def _apply_word(df: DiscriminantForm, word: Word, raw=None):
+    """Raw table of rho(word) times raw (default the identity; one column is a vector)."""
+    if raw is None:
+        raw = _identity_raw(df.size)
     s_power = 0
     seq: list[tuple[str, int]] = []  # run-length encoded tokens
     for t in word.tokens:
@@ -306,9 +325,7 @@ def _apply_word(df: DiscriminantForm, word: Word):
                 seq.append(("T", p))
         else:
             seq.append((t, 1))
-    # rho(Z)^z_power = rho(S)^(2 z_power), applied first (rightmost)
-    for _ in range(2 * word.z_power):
-        raw, s_power = _left_S(df, raw, s_power)
+    raw, s_power = _left_Z(df, raw, s_power, word.z_power)  # rightmost
     for kind, p in reversed(seq):
         if kind == "T":
             if p:
@@ -337,7 +354,8 @@ def shintani_unipotent(df: DiscriminantForm, n: int) -> WeilMatrix:
     For n = 1 the (beta, gamma) entry is
         (e(-sigma/8)/sqrt(2m)) e(Q(beta) - (beta,gamma) + Q(gamma)),
     i.e. a prefactor times e((beta-gamma)^2/4m).  General n >= 0 is the
-    n-th power; negative n uses the conjugate transpose (unitarity).
+    n-th power, taken by binary powering; negative n uses the conjugate
+    transpose (unitarity).
     """
     if n < 0:
         return shintani_unipotent(df, -n).conjugate_transpose()
@@ -351,9 +369,13 @@ def shintani_unipotent(df: DiscriminantForm, n: int) -> WeilMatrix:
         for b in range(dim)
     ]
     base = WeilMatrix(df, raw, 1)
-    out = base
-    for _ in range(n - 1):
-        out = out @ base
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out @ base
+        n >>= 1
+        if n:
+            base = base @ base
     return out
 
 
@@ -376,57 +398,16 @@ def borcherds_eigencheck(
     if d <= 0:
         raise ValueError("require d > 0 (apply the -I normalization first)")
     conj = mp_tilde((a, 4 * df.m * b, c // (4 * df.m), d))
-    word = mp_decompose(conj)
-    n = df.field_order
-    dim = df.size
-    # evaluate rho(word) applied to the all-ones vector, right to left
-    vec: list[dict] = [{0: 1} for _ in range(dim)]
-    s_power = 0
-    seq: list[tuple[str, int]] = []
-    for t in word.tokens:
-        if t in ("T", "T'"):
-            p = 1 if t == "T" else -1
-            if seq and seq[-1][0] == "T":
-                seq[-1] = ("T", seq[-1][1] + p)
-            else:
-                seq.append(("T", p))
-        else:
-            seq.append((t, 1))
-    u = n // (2 * df.m)
-    v4 = n // (4 * df.m)
-    sigma = df.signature_delta
-
-    def apply_S(vec, s_power, inverse=False):
-        extra = (sigma * (n // 4)) % n if inverse else 0
-        sign = 1 if inverse else -1
-        new = []
-        for delta in range(dim):
-            acc: dict[int, int] = {}
-            for gamma in range(dim):
-                if vec[gamma]:
-                    _add_shifted(acc, vec[gamma], (sign * delta * gamma * u + extra) % n, n)
-            new.append(canonical_exponent_dict(n, acc))
-        return new, s_power + 1
-
-    for _ in range(2 * word.z_power):
-        vec, s_power = apply_S(vec, s_power)
-    for kind, p in reversed(seq):
-        if kind == "T":
-            vec = [
-                _shift(vec[g], (p * g * g * v4) % n, n) for g in range(dim)
-            ]
-        elif kind == "S":
-            vec, s_power = apply_S(vec, s_power)
-        else:
-            vec, s_power = apply_S(vec, s_power, inverse=True)
-
+    # rho(word) applied to the all-ones vector, a one-column raw table
+    ones = [[{0: 1}] for _ in range(df.size)]
+    raw, s_power = _apply_word(df, mp_decompose(conj), ones)
     eps_inv = (
         CyclotomicNumber.one() if d % 4 == 1 else root_of_unity(3, 4)
     )  # eps_d^-1, with eps_d = sqrt((-1/d))
     lam = eps_inv * kronecker(c, d)
-    pref = _prefactor_power(df.m, sigma, s_power)
+    pref = _prefactor_power(df.m, df.signature_delta, s_power)
     holds = all(
-        CyclotomicNumber.from_exponent_dict(n, vec[g]) * pref == lam
-        for g in range(dim)
+        CyclotomicNumber.from_exponent_dict(df.field_order, row[0]) * pref == lam
+        for row in raw
     )
     return lam, holds

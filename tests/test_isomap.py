@@ -15,6 +15,8 @@ from weilforms.expansions import (
     verify_T_transform,
 )
 from weilforms.isomap import (
+    _character_tables,
+    _root_product,
     b_entry_bruteforce,
     build_proof_matrices,
     combine_to_scalar,
@@ -110,6 +112,38 @@ def test_R_matches_weil_S_action():
         for b in range(2 * m):
             for g in range(2 * m):
                 assert mats.R[b][g] == s.entry(b, g), (m, b, g)
+
+
+def _matmul(x, y):
+    """The generic product over CyclotomicNumber entries (reference)."""
+    inner = len(y)
+    cols = len(y[0])
+    out = []
+    for row in x:
+        acc_row = []
+        for c in range(cols):
+            acc = row[0] * y[0][c]
+            for t in range(1, inner):
+                acc = acc + row[t] * y[t][c]
+            acc_row.append(acc)
+        out.append(tuple(acc_row))
+    return tuple(out)
+
+
+def test_exponent_count_products_match_generic_matmul():
+    for m in range(1, 6):
+        mats = build_proof_matrices(m)
+        js, xa, _, xr, pref = _character_tables(m)
+        assert js == mats.j_list
+        ca = _matmul(mats.C, mats.A)
+        ar = _matmul(mats.A, mats.R)
+        got_ar = _root_product(xa, xr, 4 * m, pref)
+        for b in range(2 * m):
+            for g in range(2 * m):
+                assert mats.B[b][g] == ca[b][g], (m, b, g)
+        for row in range(len(js)):
+            for g in range(2 * m):
+                assert got_ar[row][g] == ar[row][g], (m, row, g)
 
 
 def test_B_equals_bruteforce_character_sums():

@@ -8,7 +8,7 @@ import pytest
 from weilforms.arith import inverse_mod, kronecker
 from weilforms.cyclo import CyclotomicNumber, root_of_unity, sqrt_nat
 from weilforms.discform import DiscriminantForm
-from weilforms.metaplectic import MP_S, MP_T, mp_mul, mp_pow, mp_tilde, parse_word
+from weilforms.metaplectic import MP_S, MP_T, MP_Z, mp_mul, mp_pow, mp_tilde, parse_word
 from weilforms.weilrep import (
     WeilMatrix,
     borcherds_eigencheck,
@@ -196,3 +196,98 @@ def test_matrix_json_shape():
 def test_mixed_index_product_rejected():
     with pytest.raises(ValueError):
         rho_S(DiscriminantForm(1)) @ rho_S(DiscriminantForm(2))
+
+
+# -- equality on raw tables against an entries-based oracle --------------
+
+
+def _same_entries(a, b):
+    """Entrywise equality of the materialized matrices (the oracle)."""
+    return all(
+        a.entry(i, j) == b.entry(i, j)
+        for i in range(a.dim) for j in range(a.dim)
+    )
+
+
+def _rescaled(mat, extra, sign=1):
+    """sign * mat rewritten with s_power raised by `extra`.
+
+    The raw table is multiplied by P^-extra = e(sigma extra/8) sqrt(2m)^extra,
+    P = e(-sigma/8)/sqrt(2m), which keeps it an integer exponent table.
+    """
+    df, n = mat.df, mat.order
+    factor = root_of_unity(df.signature_delta * extra, 8) * sqrt_nat(2 * df.m) ** extra
+    raw = []
+    for row in mat._raw:
+        out = []
+        for d in row:
+            x = (CyclotomicNumber.from_exponent_dict(n, d) * factor * sign).lift(n)
+            assert all(c.denominator == 1 for c in x.coefficients)
+            out.append({j: int(c) for j, c in enumerate(x.coefficients) if c})
+        raw.append(out)
+    return WeilMatrix(df, raw, mat._s_power + extra, mat.dual)
+
+
+def _forms():
+    for m in range(1, 7):
+        yield DiscriminantForm(m)
+    yield DiscriminantForm(3, (3, 0))  # sigma = 3 exercises the phase shift
+
+
+def test_eq_matches_entries_oracle_across_s_powers():
+    g = mp_mul(mp_mul(MP_S, MP_T), mp_pow(MP_T, 3))
+    for df in _forms():
+        for dual in (False, True):
+            base = rho_eval(df, g, dual=dual)
+            other = rho_eval(df, mp_mul(g, MP_T), dual=dual)
+            for d in range(4):
+                for sign, mates in ((1, True), (-1, False)):
+                    lifted = _rescaled(base, d, sign)
+                    assert lifted._s_power - base._s_power == d
+                    for x, y in ((base, lifted), (lifted, base)):
+                        assert _same_entries(x, y) is mates, (df.m, dual, d, sign)
+                        assert (x == y) is mates, (df.m, dual, d, sign)
+                    # a different element at the same alignment stays unequal
+                    assert not _same_entries(lifted, other)
+                    assert lifted != other, (df.m, dual, d)
+
+
+def test_is_identity_matches_entries_oracle():
+    for df in _forms():
+        ident = identity_matrix(df)
+        S = rho_S(df)
+        s4 = (S @ S) @ (S @ S)
+        for dual in (False, True):
+            for d in range(4):
+                lifted = _rescaled(ident.conjugate() if dual else ident, d)
+                assert _same_entries(lifted, ident) and lifted.is_identity(), (df.m, d)
+                minus = _rescaled(ident, d, -1)
+                assert not _same_entries(minus, ident) and not minus.is_identity()
+        # rho(S)^4 = e(-sigma/2) I is the identity only when sigma is even
+        assert s4.is_identity() is _same_entries(s4, ident) is (df.signature_delta % 2 == 0)
+        assert (s4 @ s4).is_identity() and _same_entries(s4 @ s4, ident)
+
+
+def test_eq_separates_distinct_elements():
+    gens = [MP_S, MP_T, MP_S.inv(), mp_pow(MP_T, 2)]
+    for m in (1, 2, 3, 5, 6):
+        df = DiscriminantForm(m)
+        mats = [rho_eval(df, g) for g in gens]
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                assert (a == b) is (i == j) is _same_entries(a, b), (m, i, j)
+
+
+def test_rho_Z_powers_are_signed_permutations():
+    # rho(Z)^k = (rho(S)^2)^k, evaluated without any dense S-product
+    for df in _forms():
+        S = rho_S(df)
+        s2 = S @ S
+        power = identity_matrix(df)
+        for k in range(4):
+            z = rho_eval(df, mp_pow(MP_Z, k))
+            assert z._s_power == 0
+            assert _same_entries(z, power) and z == power, (df.m, k)
+            power = power @ s2
+        assert rho_Z(df) == s2 and _same_entries(rho_Z(df), s2)
+        assert rho_eval(df, MP_S)._s_power == 1
