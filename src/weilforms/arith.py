@@ -7,7 +7,7 @@ stay below a few thousand.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -65,16 +65,6 @@ def moebius(n: int) -> int:
             return 0
         mu = -mu
     return mu
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    return small + large[::-1]
 
 
 def inverse_mod(a: int, n: int) -> int:

@@ -11,7 +11,6 @@ WEIL_PRECISION_BITS bits of working precision (default 128).
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -20,12 +19,12 @@ from . import containers
 from .discform import DiscriminantForm
 from .expansions import (
     TruncationError,
+    default_precision,
     eval_point,
     plus_space_check,
     random_plus_expansion,
     theta_expansion,
     verify_S_transform,
-    verify_T_transform,
 )
 from .isomap import (
     b_entry_bruteforce,
@@ -60,17 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _precision() -> int:
-    raw = os.environ.get("WEIL_PRECISION_BITS", "128")
-    try:
-        prec = int(raw)
-    except ValueError:
-        raise ValueError(f"WEIL_PRECISION_BITS must be an integer, got {raw!r}")
-    if prec < 53:
-        raise ValueError("WEIL_PRECISION_BITS must be at least 53")
-    return prec
 
 
 def _parse_points(text: str) -> list[complex]:
@@ -165,7 +153,7 @@ def _cmd_milgram(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    prec = _precision()
+    prec = default_precision()
     df = DiscriminantForm(args.m)
     word = parse_word(args.word)
     mat = rho_eval(df, word.to_element(), dual=args.dual)
@@ -203,7 +191,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    prec = _precision()
+    prec = default_precision()
     points = _parse_points(args.points)
     if args.infile:
         kind, payload = containers.load_form(_read_container(args.infile))
@@ -251,12 +239,12 @@ def _cmd_check_plus(args) -> int:
 
 def _cmd_check_T(args) -> int:
     F = containers.vector_from_json(_read_container(args.infile))
-    checks = [_check("T-support", "exact", verify_T_transform(F))]
+    checks = [_check("T-support", "exact", F.support_congruence_ok())]
     return _finish(args, "check-T", {"m": F.df.m, "dual": F.dual}, checks)
 
 
 def _cmd_check_S(args) -> int:
-    prec = _precision()
+    prec = default_precision()
     points = _parse_points(args.points)
     if args.infile:
         F = containers.vector_from_json(_read_container(args.infile))
@@ -274,7 +262,7 @@ def _cmd_check_S(args) -> int:
 
 
 def _cmd_fj_check(args) -> int:
-    prec = _precision()
+    prec = default_precision()
     points = _parse_points(args.points)
     f, m, k = _load_scalar(args)
     try:
@@ -369,7 +357,7 @@ def _cmd_heat_check(args) -> int:
 
 
 def _cmd_casimir_check(args) -> int:
-    prec = _precision()
+    prec = default_precision()
     phi = containers.jacobi_from_json(_read_container(args.infile))
     tau = complex(args.tau.replace("i", "j"))
     z = complex(args.z.replace("i", "j"))
@@ -384,7 +372,7 @@ def _cmd_casimir_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    prec = _precision()
+    prec = default_precision()
     rng = random.Random(args.seed)
     checks = []
 
@@ -425,7 +413,7 @@ def _cmd_selftest(args) -> int:
                 f = random_plus_expansion(m, k, rng)
                 F = split_to_vector(f, m, k)
                 ok = ok and combine_to_scalar(F) == f
-                ok = ok and verify_T_transform(F)
+                ok = ok and F.support_congruence_ok()
     checks.append(_check("split/combine roundtrip (random)", "exact", ok))
 
     ok = all(gauss_sum_identity_check(m) for m in (1, 2, 3, 5))

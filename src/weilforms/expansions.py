@@ -39,7 +39,6 @@ __all__ = [
     "random_plus_expansion",
     "eval_point",
     "laplacian_fd",
-    "verify_T_transform",
     "verify_S_transform",
     "SCheckReport",
 ]
@@ -50,11 +49,18 @@ class TruncationError(Exception):
 
 
 def default_precision() -> int:
-    """Working precision in bits, from WEIL_PRECISION_BITS (default 128)."""
+    """Working precision in bits, from WEIL_PRECISION_BITS (default 128).
+
+    Raises ValueError unless the value is an integer of at least 53.
+    """
+    raw = os.environ.get("WEIL_PRECISION_BITS", "128")
     try:
-        return max(53, int(os.environ.get("WEIL_PRECISION_BITS", "128")))
+        prec = int(raw)
     except ValueError:
-        return 128
+        raise ValueError(f"WEIL_PRECISION_BITS must be an integer, got {raw!r}")
+    if prec < 53:
+        raise ValueError("WEIL_PRECISION_BITS must be at least 53")
+    return prec
 
 
 def _norm_index(n):
@@ -183,7 +189,7 @@ class VectorForm:
 
     `dual` selects the representation type: components of a rho_L form are
     supported on Z + Q(gamma), dual (rho_L-bar) ones on Z - Q(gamma).  The
-    constructor stores data as given; use verify_T_transform for the
+    constructor stores data as given; use support_congruence_ok for the
     support predicate.
     """
 
@@ -429,11 +435,6 @@ def laplacian_fd(target, k: int, tau, h: float = 1e-3, *,
         fx = (fr - fl) / (2 * hh)
         fy = (fu - fd) / (2 * hh)
         return -(y**2) * lap + 1j * kappa * y * (fx + 1j * fy)
-
-
-def verify_T_transform(form: VectorForm) -> bool:
-    """Support-congruence form of the T-transformation law on stored data."""
-    return form.support_congruence_ok()
 
 
 class SCheckReport:

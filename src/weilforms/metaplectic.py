@@ -6,16 +6,21 @@ encode phi by a sign eps relative to the principal branch, with the
 convention that for c = 0, d < 0 the principal value is i*sqrt(|d|) (the
 limit from the upper half plane).
 
-The cocycle sign in products is determined exactly by evaluating both
-candidate branches at the probe point tau0 = 2i: the two candidates differ
-by a factor of -1, so double precision separates them with an enormous
-margin.  Words over the generators
+Products are exact; no point is sampled.  In (M1, phi1)(M2, phi2) write
+w1 = c1*M2(tau) + d1 and w2 = c2*tau + d2, so w1*w2 = c3*tau + d3.  The
+argument of w lies in (0, pi) for c > 0, in (-pi, 0) for c < 0, and is 0 or
+pi for c = 0 and d > 0 or d < 0.  The principal roots multiply to minus the
+principal root of w1*w2 exactly when arg w1 + arg w2 leaves (-pi, pi],
+which the signs of c1, d1, c2, d2 and c3 decide (_branch_sign).
+
+Words are run-length: a tuple of (generator, exponent) runs over
 
     T = ((1 1; 0 1), 1),   S = ((0 -1; 1 0), sqrt(tau))
 
-are produced by continued-fraction reduction of the bottom row; the center
-is generated by Z = S^2 = ((-1 0; 0 -1), i) with Z^4 = 1, and residual
-Z-powers are kept explicit rather than expanded into S's.
+with nonzero exponents and no two adjacent runs on the same generator,
+produced by continued-fraction reduction of the bottom row.  The center is
+generated by Z = S^2 = ((-1 0; 0 -1), i) with Z^4 = 1, and the residual
+Z-power of a word is kept explicit rather than expanded into S's.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-
-_TAU0 = 2j
 
 
 def _principal_phi(c: int, d: int, tau: complex) -> complex:
@@ -77,19 +80,27 @@ def mp_tilde(matrix: tuple[int, int, int, int]) -> MpElement:
     return MpElement(a, b, c, d, 1)
 
 
+def _branch_sign(c1: int, d1: int, c2: int, d2: int, c3: int) -> int:
+    """sqrt(w1) sqrt(w2) / sqrt(w1 w2) for principal roots (see the module docstring)."""
+    if c1 == 0 and d1 < 0:  # arg w1 = pi
+        return -1 if c2 > 0 or (c2 == 0 and d2 < 0) else 1
+    if c2 == 0 and d2 < 0:  # arg w2 = pi
+        return -1 if c1 > 0 else 1
+    if c1 > 0 and c2 > 0:
+        return -1 if c3 < 0 else 1
+    if c1 < 0 and c2 < 0:
+        return -1 if c3 >= 0 else 1
+    return 1
+
+
 def mp_mul(g1: MpElement, g2: MpElement) -> MpElement:
     """Product in Mp2(Z): (M1, phi1)(M2, phi2) = (M1 M2, phi1(M2 tau) phi2(tau))."""
     a = g1.a * g2.a + g1.b * g2.c
     b = g1.a * g2.b + g1.b * g2.d
     c = g1.c * g2.a + g1.d * g2.c
     d = g1.c * g2.b + g1.d * g2.d
-    val = g1.phi(g2.act(_TAU0)) * g2.phi(_TAU0)
-    ref = _principal_phi(c, d, _TAU0)
-    dplus = abs(val - ref)
-    dminus = abs(val + ref)
-    if not (max(dplus, dminus) > 100 * min(dplus, dminus)):
-        raise ArithmeticError("branch sign probe is ambiguous; this should not happen")
-    return MpElement(a, b, c, d, 1 if dplus < dminus else -1)
+    eps = g1.eps * g2.eps * _branch_sign(g1.c, g1.d, g2.c, g2.d, c)
+    return MpElement(a, b, c, d, eps)
 
 
 def mp_pow(g: MpElement, n: int) -> MpElement:
@@ -110,107 +121,98 @@ MP_IDENTITY = MpElement(1, 0, 0, 1, 1)
 MP_T = MpElement(1, 1, 0, 1, 1)
 MP_S = MpElement(0, -1, 1, 0, 1)
 MP_Z = mp_mul(MP_S, MP_S)  # ((-1 0; 0 -1), i); generates the center, order 4
-
-_GENERATORS = {
-    "T": MP_T,
-    "T'": MP_T.inv(),
-    "S": MP_S,
-    "S'": MP_S.inv(),
-    "Z": MP_Z,
-}
-
-
-@dataclass(frozen=True)
-class Word:
-    """A word over {S, S', T, T'} together with a residual center power.
-
-    The element represented is (product of tokens, left to right) * Z^z_power.
-    """
-
-    tokens: tuple[str, ...]
-    z_power: int = 0
-
-    def __post_init__(self):
-        for t in self.tokens:
-            if t not in ("S", "S'", "T", "T'"):
-                raise ValueError(f"bad token {t!r}")
-        if self.z_power not in (0, 1, 2, 3):
-            raise ValueError("z_power must lie in 0..3")
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def to_element(self) -> MpElement:
-        out = MP_IDENTITY
-        for t in self.tokens:
-            out = mp_mul(out, _GENERATORS[t])
-        for _ in range(self.z_power):
-            out = mp_mul(out, MP_Z)
-        return out
-
-
-def parse_word(text: str) -> Word:
-    """Parse a whitespace-separated token string; Z tokens fold into z_power."""
-    tokens: list[str] = []
-    zp = 0
-    for t in text.split():
-        if t == "Z":
-            zp += 1
-        elif t in ("S", "S'", "T", "T'"):
-            tokens.append(t)
-        else:
-            raise ValueError(f"unknown token {t!r}")
-    return Word(tuple(tokens), zp % 4)
+_S_POWERS = tuple(mp_pow(MP_S, k) for k in range(8))  # S has order 8, Z^z = S^(2z)
 
 
 def _t_power(n: int) -> MpElement:
     return MpElement(1, n, 0, 1, 1)
 
 
-def _t_tokens(n: int) -> list[str]:
-    return ["T"] * n if n >= 0 else ["T'"] * (-n)
+def _append_run(runs: list, gen: str, e: int) -> None:
+    """Append gen^e to runs, merging with a last run on the same generator."""
+    if runs and runs[-1][0] == gen:
+        e += runs.pop()[1]
+    if e:
+        runs.append((gen, e))
+
+
+@dataclass(frozen=True)
+class Word:
+    """A word of (generator, exponent) runs over {S, T} and a residual center power.
+
+    The element represented is (product of runs, left to right) * Z^z_power.
+    """
+
+    runs: tuple[tuple[str, int], ...]
+    z_power: int = 0
+
+    def __post_init__(self):
+        prev = None
+        for gen, e in self.runs:
+            if gen not in ("S", "T"):
+                raise ValueError(f"bad generator {gen!r}")
+            if not isinstance(e, int) or e == 0:
+                raise ValueError(f"exponent of {gen} must be a nonzero integer, got {e!r}")
+            if gen == prev:
+                raise ValueError(f"adjacent runs on {gen} must be merged")
+            prev = gen
+        if self.z_power not in (0, 1, 2, 3):
+            raise ValueError("z_power must lie in 0..3")
+
+    def __len__(self):
+        return len(self.runs)
+
+    def to_element(self) -> MpElement:
+        out = MP_IDENTITY
+        for gen, e in self.runs:
+            out = mp_mul(out, _t_power(e) if gen == "T" else _S_POWERS[e % 8])
+        return mp_mul(out, _S_POWERS[2 * self.z_power])
+
+
+def parse_word(text: str) -> Word:
+    """Parse a whitespace-separated string of S, S', T, T' and Z tokens.
+
+    Tokens merge into runs; Z tokens fold into z_power, since Z is central.
+    """
+    runs: list[tuple[str, int]] = []
+    zp = 0
+    for t in text.split():
+        if t == "Z":
+            zp += 1
+        elif t in ("S", "S'", "T", "T'"):
+            _append_run(runs, t[0], -1 if t.endswith("'") else 1)
+        else:
+            raise ValueError(f"unknown token {t!r}")
+    return Word(tuple(runs), zp % 4)
 
 
 def mp_decompose(g: MpElement) -> Word:
     """Write g as a word in S, T and a residual center power, exactly.
 
     The bottom row is reduced by a nearest-integer continued fraction, so
-    the word length is O(log of the largest entry).
+    the number of runs is O(log of the largest entry).
     """
     r = g
-    applied: list[tuple] = []  # right factors, in application order
+    applied: list[tuple[str, int]] = []  # right factors, in application order
     while r.c != 0:
         q = round(Fraction(r.d, r.c))
         if q:
             r = mp_mul(r, _t_power(-q))
             applied.append(("T", -q))
         r = mp_mul(r, MP_S)
-        applied.append(("S",))
-    # r is now upper triangular: (+-1, e; 0, +-1)
-    tokens: list[str]
+        applied.append(("S", 1))
+    # r is now upper triangular: (1, e; 0, 1) = T^e Z^(0 or 2), or
+    # (-1, e; 0, -1) = Z^(1 or 3) T^(-e), and Z commutes into z_power
+    runs: list[tuple[str, int]] = []
     if r.a == 1:
-        tokens = _t_tokens(r.b)
+        _append_run(runs, "T", r.b)
         zbase = 0 if r.eps == 1 else 2
     else:
-        # (-1, e; 0, -1) = Z * T^(-e) up to center
-        tokens = _t_tokens(-r.b)
-        zbase = None
-        for p in (1, 3):
-            cand = mp_pow(MP_Z, p)
-            for t in tokens:
-                cand = mp_mul(cand, _GENERATORS[t])
-            if cand == r:
-                zbase = p
-                break
-        if zbase is None:  # pragma: no cover - the center has order 4
-            raise ArithmeticError("failed to match center power")
-        tokens = tokens  # Z commutes; keep it in z_power
-    for kind in reversed(applied):
-        if kind[0] == "S":
-            tokens.append("S'")
-        else:
-            tokens.extend(_t_tokens(-kind[1]))
-    word = Word(tuple(tokens), zbase)
+        _append_run(runs, "T", -r.b)
+        zbase = 1 if mp_mul(MP_Z, _t_power(-r.b)) == r else 3
+    for gen, e in reversed(applied):
+        _append_run(runs, gen, -e)
+    word = Word(tuple(runs), zbase)
     if word.to_element() != g:  # pragma: no cover - exactness guard
         raise ArithmeticError("decomposition failed to reproduce the element")
     return word

@@ -311,29 +311,21 @@ def _left_Z(df, raw, s_power, power: int):
 
 
 def _apply_word(df: DiscriminantForm, word: Word, raw=None):
-    """Raw table of rho(word) times raw (default the identity; one column is a vector)."""
+    """Raw table of rho(word) times raw (default the identity; one column is a vector).
+
+    Walks word.runs right to left: rho(Z)^z_power first as a signed
+    permutation, then one diagonal product per T-run and |e| dense
+    products per S-run (words from mp_decompose have only S^-1 runs).
+    """
     if raw is None:
         raw = _identity_raw(df.size)
-    s_power = 0
-    seq: list[tuple[str, int]] = []  # run-length encoded tokens
-    for t in word.tokens:
-        if t in ("T", "T'"):
-            p = 1 if t == "T" else -1
-            if seq and seq[-1][0] == "T":
-                seq[-1] = ("T", seq[-1][1] + p)
-            else:
-                seq.append(("T", p))
+    raw, s_power = _left_Z(df, raw, 0, word.z_power)  # rightmost
+    for gen, e in reversed(word.runs):
+        if gen == "T":
+            raw, s_power = _left_T(df, raw, s_power, e)
         else:
-            seq.append((t, 1))
-    raw, s_power = _left_Z(df, raw, s_power, word.z_power)  # rightmost
-    for kind, p in reversed(seq):
-        if kind == "T":
-            if p:
-                raw, s_power = _left_T(df, raw, s_power, p)
-        elif kind == "S":
-            raw, s_power = _left_S(df, raw, s_power)
-        else:  # S'
-            raw, s_power = _left_S(df, raw, s_power, inverse=True)
+            for _ in range(abs(e)):
+                raw, s_power = _left_S(df, raw, s_power, inverse=e < 0)
     return raw, s_power
 
 

@@ -6,7 +6,6 @@ import pytest
 import sympy
 
 from weilforms.arith import (
-    divisors,
     euler_phi,
     factorize,
     integer_matrix_rank,
@@ -49,13 +48,6 @@ def test_euler_phi_matches_sympy():
 def test_moebius_matches_sympy():
     for n in range(1, 500):
         assert moebius(n) == sympy.mobius(n)
-
-
-def test_divisors_sorted_and_complete():
-    for n in (1, 2, 12, 36, 97, 360):
-        ds = divisors(n)
-        assert ds == sorted(ds)
-        assert ds == sorted(sympy.divisors(n))
 
 
 def test_inverse_mod_random():

@@ -22,7 +22,6 @@ from weilforms.expansions import (
     random_plus_expansion,
     theta_expansion,
     verify_S_transform,
-    verify_T_transform,
 )
 from weilforms.isomap import split_to_vector
 
@@ -83,10 +82,12 @@ def test_inc_gamma_rejects_out_of_scope():
 def test_default_precision_env(monkeypatch):
     monkeypatch.setenv("WEIL_PRECISION_BITS", "200")
     assert default_precision() == 200
-    monkeypatch.setenv("WEIL_PRECISION_BITS", "10")
+    monkeypatch.setenv("WEIL_PRECISION_BITS", "53")
     assert default_precision() == 53
-    monkeypatch.setenv("WEIL_PRECISION_BITS", "junk")
-    assert default_precision() == 128
+    for bad in ("10", "52", "junk", "abc", "128.5"):
+        monkeypatch.setenv("WEIL_PRECISION_BITS", bad)
+        with pytest.raises(ValueError):
+            default_precision()
     monkeypatch.delenv("WEIL_PRECISION_BITS")
     assert default_precision() == 128
 
@@ -234,7 +235,7 @@ def test_support_congruence_dual_flips_sign():
 
 def test_T_transform_on_split_theta():
     F = split_to_vector(theta_expansion(60), 1, 0)
-    assert verify_T_transform(F)
+    assert F.support_congruence_ok()
 
 
 def test_S_transform_theta_positive_and_controls():

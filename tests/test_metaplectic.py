@@ -1,6 +1,5 @@
 """Group structure of the metaplectic double cover."""
 
-import cmath
 import random
 
 import pytest
@@ -11,6 +10,7 @@ from weilforms.metaplectic import (
     MP_T,
     MP_Z,
     MpElement,
+    Word,
     mp_decompose,
     mp_mul,
     mp_pow,
@@ -74,13 +74,27 @@ def test_phi_squares_to_automorphy_factor():
 
 
 def test_phi_cocycle_numerically():
+    # the generators include c = 0, d < 0 elements of both branch signs,
+    # where the sign rule's i*sqrt(|d|) convention matters
     rng = random.Random(23)
     tau = -0.4 + 0.9j
-    for _ in range(30):
-        g, h = _random_element(rng, 8), _random_element(rng, 8)
+    upper = [MpElement(s, b, 0, s, e) for s in (1, -1) for b in (-2, 0, 3) for e in (1, -1)]
+    gens = [MP_S, MP_T, MP_S.inv(), MP_T.inv()] + upper
+
+    def sample():
+        g = MP_IDENTITY
+        for _ in range(rng.randrange(0, 7)):
+            g = mp_mul(g, rng.choice(gens))
+        return g
+
+    negative_d = 0
+    for _ in range(1200):
+        g, h = sample(), sample()
+        negative_d += any(x.c == 0 and x.d < 0 for x in (g, h, mp_mul(g, h)))
         lhs = mp_mul(g, h).phi(tau)
         rhs = g.phi(h.act(tau)) * h.phi(tau)
-        assert abs(lhs - rhs) < 1e-9
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+    assert negative_d > 200
 
 
 def test_act_is_moebius():
@@ -97,7 +111,7 @@ def test_negative_d_principal_branch():
 
 def test_parse_word_and_evaluation():
     w = parse_word("S T T S'")
-    assert w.tokens == ("S", "T", "T", "S'")
+    assert w.runs == (("S", 1), ("T", 2), ("S", -1))
     direct = mp_mul(mp_mul(mp_mul(MP_S, MP_T), MP_T), MP_S.inv())
     assert w.to_element() == direct
 
@@ -111,6 +125,19 @@ def test_parse_word_folds_center():
 def test_parse_word_rejects_garbage():
     with pytest.raises(ValueError):
         parse_word("S Q")
+
+
+def test_parse_word_merges_and_cancels_runs():
+    assert parse_word("T S S' T T' T").runs == (("T", 2),)
+    assert parse_word("S' S' T'").runs == (("S", -2), ("T", -1))
+
+
+def test_word_rejects_malformed_runs():
+    for runs in [(("S", 0),), (("Q", 1),), (("T", 1), ("T", 2)), (("S", 1), ("S", -1))]:
+        with pytest.raises(ValueError):
+            Word(runs)
+    with pytest.raises(ValueError):
+        Word((("S", 1),), 4)
 
 
 def test_decompose_roundtrip_random():
@@ -138,3 +165,30 @@ def test_mp_pow_matches_repeated_product():
         assert mp_pow(g, n) == acc
         acc = mp_mul(acc, g)
     assert mp_pow(g, -3) == mp_pow(g.inv(), 3)
+
+
+def test_decompose_lower_unipotent_is_three_runs():
+    g = mp_tilde((1, 0, 200000, 1))
+    w = mp_decompose(g)
+    assert len(w) <= 3
+    assert w.to_element() == g
+
+
+def test_decompose_huge_entries():
+    n = 10**160
+    g = mp_tilde((n + 1, n, 1, 1))
+    w = mp_decompose(g)
+    assert len(w) <= 4
+    assert w.to_element() == g
+
+
+def test_decompose_long_product():
+    rng = random.Random(26)
+    g = MP_IDENTITY
+    for _ in range(600):
+        g = mp_mul(g, mp_mul(MpElement(1, rng.randrange(-50, 51), 0, 1, 1), MP_S))
+    assert max(abs(x) for x in g.matrix) > 10**300
+    w = mp_decompose(g)
+    assert len(w) <= 2 * 600 + 2
+    assert w.to_element() == g
+    assert mp_mul(g, g.inv()) == MP_IDENTITY

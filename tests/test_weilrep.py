@@ -1,6 +1,7 @@
 """Exact Weil representation matrices: generators, relations, closed forms."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,18 @@ def test_rho_eval_is_homomorphism_random():
         for _ in range(rng.randrange(1, 7)):
             h = mp_mul(h, rng.choice(gens))
         assert rho_eval(df, mp_mul(g, h)) == rho_eval(df, g) @ rho_eval(df, h)
+
+
+def test_rho_eval_300_digit_element_times_inverse():
+    rng = random.Random(32)
+    df = DiscriminantForm(2)
+    g = mp_tilde((1, 0, 0, 1))
+    while max(abs(x) for x in g.matrix) < 10**299:
+        g = mp_mul(g, mp_mul(mp_tilde((1, rng.randrange(-60, 61), 0, 1)), MP_S))
+    start = time.perf_counter()
+    product = rho_eval(df, g) @ rho_eval(df, g.inv())
+    assert time.perf_counter() - start < 1.0
+    assert product.is_identity()
 
 
 def test_rho_eval_word_vs_generators():
