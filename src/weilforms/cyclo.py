@@ -358,7 +358,7 @@ class CyclotomicNumber:
     def to_json_dict(self) -> dict:
         return {
             "N": self._order,
-            "coeffs": [[_frac_str(c), j] for j, c in enumerate(self._coeffs) if c],
+            "coeffs": [[str(c), j] for j, c in enumerate(self._coeffs) if c],
         }
 
     @classmethod
@@ -389,10 +389,6 @@ def _coerce(x):
     if isinstance(x, Rational):
         return CyclotomicNumber.from_rational(x)
     return NotImplemented
-
-
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
 def _unit_root_mpc(two_j: int, n: int) -> mpc:

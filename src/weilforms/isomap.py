@@ -178,6 +178,8 @@ def _character_tables(m: int):
     Returns the units j, the three tables and R's common prefactor
     e(-1/8) sqrt(2m)/2m.
     """
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("index m must be a positive integer")
     n4 = 4 * m
     dim = 2 * m
     js = coprime_residues(n4)
@@ -209,8 +211,6 @@ def _root_product(x, y, n: int, scale=None):
 
 def build_proof_matrices(m: int) -> ProofMatrices:
     """Exact A, C, R and B = CA for index m."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("index m must be a positive integer")
     n4 = 4 * m
     js, xa, xc, xr, pref = _character_tables(m)
     a = tuple(tuple(root_of_unity(e, n4) for e in row) for row in xa)
@@ -224,6 +224,8 @@ def b_entry_bruteforce(m: int, beta: int, gamma: int) -> int:
 
     Always a rational integer (it is a Ramanujan sum in gamma^2 - beta^2).
     """
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("index m must be a positive integer")
     n4 = 4 * m
     diff = (gamma * gamma - beta * beta) % n4
     counts: dict[int, int] = {}

@@ -5,8 +5,9 @@ Generator action on the standard basis (e_gamma), with sigma = b+ - b-:
     rho(T) e_gamma = e(Q(gamma)) e_gamma
     rho(S) e_gamma = (e(-sigma/8)/sqrt(2m)) sum_delta e(-(gamma,delta)) e_delta
 
-Arbitrary elements are evaluated as products of generator matrices along a
-word from mp_decompose.  The center acts by the signed permutation
+Each generator is defined once, as a matrix (rho_T, rho_S, rho_Z), and
+arbitrary elements are evaluated by multiplying those matrices along a word
+from mp_decompose.  The center acts by the signed permutation
 rho(Z) e_gamma = e(-sigma/4) e_{-gamma}, which is rho(S)^2 without the dense
 products.  The dual representation conjugates every entry after evaluation
 on the same word.
@@ -14,10 +15,12 @@ on the same word.
 Matrices are stored in a scaled-integer form: entries are formal integer
 combinations of powers of zeta_N (N = lcm(8, 4m)) with a global prefactor
 (e(-sigma/8)/sqrt(2m))^s_power, where s_power counts the S-factors used.
-Products then only ever convolve integer exponent tables, and entries are
-re-reduced into the power basis after every step so the tables stay small.
-Equality compares the tables themselves once the prefactor powers are
-aligned; materialized entries are exact CyclotomicNumbers.
+WeilMatrix.__matmul__ is the only product: it convolves integer exponent
+tables and re-reduces each output row into the power basis, except a row
+whose left row holds a single term, which is a shifted copy of a right row
+and stays as small as that row.  Equality compares the tables themselves
+once the prefactor powers are aligned; materialized entries are exact
+CyclotomicNumbers.
 """
 
 from __future__ import annotations
@@ -50,12 +53,6 @@ def _prefactor_power(m: int, sigma: int, t: int) -> CyclotomicNumber:
     return phase * sqrt_nat(2 * m) * Fraction(1, (2 * m) ** ((t + 1) // 2))
 
 
-def _shift(d: dict, s: int, n: int) -> dict:
-    if s == 0:
-        return dict(d)
-    return {(e + s) % n: c for e, c in d.items()}
-
-
 def _add_shifted(acc: dict, d: dict, s: int, n: int) -> None:
     for e, c in d.items():
         k = (e + s) % n
@@ -86,12 +83,6 @@ class WeilMatrix:
     def order(self) -> int:
         return self.df.field_order
 
-    def _normalize(self) -> None:
-        n = self.order
-        self._raw = [
-            [canonical_exponent_dict(n, d) for d in row] for row in self._raw
-        ]
-
     def entry(self, i: int, j: int) -> CyclotomicNumber:
         return self.entries()[i][j]
 
@@ -107,38 +98,40 @@ class WeilMatrix:
         return self._entries
 
     def __matmul__(self, other: "WeilMatrix") -> "WeilMatrix":
+        """The product; other may have any number of columns (one is a vector)."""
         if not isinstance(other, WeilMatrix):
             return NotImplemented
         if self.df != other.df:
             raise ValueError("matrices live over different discriminant forms")
         n = self.order
-        dim = self.dim
-        a, b = self._raw, other._raw
+        b = other._raw
         out = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                acc: dict[int, int] = {}
-                for k in range(dim):
-                    left = a[i][k]
-                    if not left:
-                        continue
-                    right = b[k][j]
-                    if not right:
-                        continue
-                    if len(left) == 1 and 1 in left.values():
-                        _add_shifted(acc, right, next(iter(left)), n)
-                        continue
+        for row in self._raw:
+            terms = [(k, d) for k, d in enumerate(row) if d]
+            if len(terms) == 1 and len(terms[0][1]) == 1:
+                # one term (T, Z, S S): a shifted, scaled copy of one right row
+                k, d = terms[0]
+                ((s, c),) = d.items()
+                out.append([{(e + s) % n: c * x for e, x in r.items()} for r in b[k]])
+                continue
+            acc = [{} for _ in b[0]]
+            for k, left in terms:
+                if len(left) == 1 and 1 in left.values():
+                    s = next(iter(left))
+                    for dest, right in zip(acc, b[k]):
+                        if right:
+                            _add_shifted(dest, right, s, n)
+                    continue
+                for dest, right in zip(acc, b[k]):
                     for e, c in left.items():
                         for e2, c2 in right.items():
-                            k2 = (e + e2) % n
-                            v = acc.get(k2, 0) + c * c2
+                            j = (e + e2) % n
+                            v = dest.get(j, 0) + c * c2
                             if v:
-                                acc[k2] = v
+                                dest[j] = v
                             else:
-                                acc.pop(k2, None)
-                row.append(canonical_exponent_dict(n, acc))
-            out.append(row)
+                                dest.pop(j, None)
+            out.append([canonical_exponent_dict(n, d) for d in acc])
         return WeilMatrix(self.df, out, self._s_power + other._s_power, self.dual)
 
     def conjugate(self) -> "WeilMatrix":
@@ -157,13 +150,10 @@ class WeilMatrix:
         ]
         return WeilMatrix(self.df, out, self._s_power, not self.dual)
 
-    def transpose(self) -> "WeilMatrix":
-        dim = self.dim
-        out = [[dict(self._raw[j][i]) for j in range(dim)] for i in range(dim)]
-        return WeilMatrix(self.df, out, self._s_power, self.dual)
-
     def conjugate_transpose(self) -> "WeilMatrix":
-        return self.conjugate().transpose()
+        conj = self.conjugate()
+        raw = [list(col) for col in zip(*conj._raw)]
+        return WeilMatrix(self.df, raw, conj._s_power, conj.dual)
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.df)
@@ -233,107 +223,80 @@ class WeilMatrix:
 # -- generator matrices -------------------------------------------------
 
 
-def _identity_raw(dim: int) -> list[list[dict]]:
-    return [[{0: 1} if i == j else {} for j in range(dim)] for i in range(dim)]
-
-
 def identity_matrix(df: DiscriminantForm) -> WeilMatrix:
-    return WeilMatrix(df, _identity_raw(df.size), 0)
+    return rho_Z(df, 0)
 
 
-def rho_T(df: DiscriminantForm) -> WeilMatrix:
-    """Diagonal generator: rho(T) e_gamma = e(Q(gamma)) e_gamma."""
+def rho_T(df: DiscriminantForm, power: int = 1) -> WeilMatrix:
+    """Diagonal generator: rho(T)^power e_gamma = e(power Q(gamma)) e_gamma."""
     n = df.field_order
     v = n // (4 * df.m)
     dim = df.size
     raw = [
-        [{(g * g * v) % n: 1} if g == h else {} for h in range(dim)]
+        [{(power * g * g * v) % n: 1} if g == h else {} for h in range(dim)]
         for g in range(dim)
     ]
     return WeilMatrix(df, raw, 0)
 
 
-def rho_S(df: DiscriminantForm) -> WeilMatrix:
-    """rho(S) e_gamma = (e(-sigma/8)/sqrt(2m)) sum_delta e(-(gamma,delta)) e_delta."""
+def rho_S(df: DiscriminantForm, inverse: bool = False) -> WeilMatrix:
+    """rho(S) e_gamma = (e(-sigma/8)/sqrt(2m)) sum_delta e(-(gamma,delta)) e_delta.
+
+    With inverse, rho(S)^-1 = rho(S)^*, whose prefactor is e(sigma/4) times
+    that of rho(S); the phase goes into the table, so s_power stays 1.
+    """
     n = df.field_order
     u = n // (2 * df.m)
     dim = df.size
-    raw = [[{(-d * g * u) % n: 1} for g in range(dim)] for d in range(dim)]
+    sign, phase = (1, df.signature_delta * (n // 4)) if inverse else (-1, 0)
+    raw = [
+        [{(sign * d * g * u + phase) % n: 1} for g in range(dim)]
+        for d in range(dim)
+    ]
     return WeilMatrix(df, raw, 1)
 
 
-def rho_Z(df: DiscriminantForm) -> WeilMatrix:
-    """The center generator: rho(Z) e_gamma = e(-sigma/4) e_{-gamma}."""
-    return WeilMatrix(df, *_left_Z(df, _identity_raw(df.size), 0, 1))
+def rho_Z(df: DiscriminantForm, power: int = 1) -> WeilMatrix:
+    """The center: rho(Z)^power e_gamma = e(-sigma power/4) e_{(-1)^power gamma}."""
+    n = df.field_order
+    dim = df.size
+    phase = (-df.signature_delta * power * (n // 4)) % n
+    sign = -1 if power % 2 else 1
+    raw = [
+        [{phase: 1} if h == (sign * g) % dim else {} for h in range(dim)]
+        for g in range(dim)
+    ]
+    return WeilMatrix(df, raw, 0)
 
 
 # -- word evaluation ----------------------------------------------------
 
 
-def _left_T(df, raw, s_power, power: int):
-    n = df.field_order
-    v = n // (4 * df.m)
-    new = []
-    for g, row in enumerate(raw):
-        shift = (power * g * g * v) % n
-        new.append([_shift(d, shift, n) for d in row])
-    return new, s_power
+def _apply_word(df: DiscriminantForm, word: Word, mat=None) -> WeilMatrix:
+    """rho(word) @ mat, with mat the identity by default (one column is a vector).
 
-
-def _left_S(df, raw, s_power, inverse: bool = False):
-    n = df.field_order
-    u = n // (2 * df.m)
-    dim = df.size
-    extra = (df.signature_delta * (n // 4)) % n if inverse else 0
-    sign = 1 if inverse else -1
-    new = []
-    for delta in range(dim):
-        row: list[dict] = [dict() for _ in raw[0]]
-        for gamma in range(dim):
-            src = raw[gamma]
-            shift = (sign * delta * gamma * u + extra) % n
-            for beta in range(len(src)):
-                if src[beta]:
-                    _add_shifted(row[beta], src[beta], shift, n)
-        new.append([canonical_exponent_dict(n, d) for d in row])
-    return new, s_power + 1
-
-
-def _left_Z(df, raw, s_power, power: int):
-    """rho(Z)^power times raw: row delta becomes e(-sigma power/4) row (-1)^power delta."""
-    if power % 4 == 0:
-        return raw, s_power
-    n = df.field_order
-    shift = (-df.signature_delta * power * (n // 4)) % n
-    sign = -1 if power % 2 else 1
-    dim = len(raw)
-    return [[_shift(d, shift, n) for d in raw[(sign * g) % dim]] for g in range(dim)], s_power
-
-
-def _apply_word(df: DiscriminantForm, word: Word, raw=None):
-    """Raw table of rho(word) times raw (default the identity; one column is a vector).
-
-    Walks word.runs right to left: rho(Z)^z_power first as a signed
-    permutation, then one diagonal product per T-run and |e| dense
-    products per S-run (words from mp_decompose have only S^-1 runs).
+    Walks word.runs right to left: rho_Z(df, z_power) first (skipped for
+    z_power 0), then one product with rho_T(df, e) per T-run and |e|
+    products with rho_S(df, e < 0) per S-run (words from mp_decompose have
+    only S^-1 runs).
     """
-    if raw is None:
-        raw = _identity_raw(df.size)
-    raw, s_power = _left_Z(df, raw, 0, word.z_power)  # rightmost
+    if mat is None:
+        mat = identity_matrix(df)
+    if word.z_power:
+        mat = rho_Z(df, word.z_power) @ mat
     for gen, e in reversed(word.runs):
         if gen == "T":
-            raw, s_power = _left_T(df, raw, s_power, e)
+            mat = rho_T(df, e) @ mat
         else:
+            step = rho_S(df, inverse=e < 0)
             for _ in range(abs(e)):
-                raw, s_power = _left_S(df, raw, s_power, inverse=e < 0)
-    return raw, s_power
+                mat = step @ mat
+    return mat
 
 
 def rho_eval(df: DiscriminantForm, g: MpElement, dual: bool = False) -> WeilMatrix:
     """rho_L(g) (or its dual) as an exact matrix, via mp_decompose(g)."""
-    word = mp_decompose(g)
-    raw, s_power = _apply_word(df, word)
-    out = WeilMatrix(df, raw, s_power)
+    out = _apply_word(df, mp_decompose(g))
     return out.conjugate() if dual else out
 
 
@@ -390,16 +353,11 @@ def borcherds_eigencheck(
     if d <= 0:
         raise ValueError("require d > 0 (apply the -I normalization first)")
     conj = mp_tilde((a, 4 * df.m * b, c // (4 * df.m), d))
-    # rho(word) applied to the all-ones vector, a one-column raw table
-    ones = [[{0: 1}] for _ in range(df.size)]
-    raw, s_power = _apply_word(df, mp_decompose(conj), ones)
+    ones = WeilMatrix(df, [[{0: 1}] for _ in range(df.size)], 0)
+    image = _apply_word(df, mp_decompose(conj), ones)
     eps_inv = (
         CyclotomicNumber.one() if d % 4 == 1 else root_of_unity(3, 4)
     )  # eps_d^-1, with eps_d = sqrt((-1/d))
     lam = eps_inv * kronecker(c, d)
-    pref = _prefactor_power(df.m, df.signature_delta, s_power)
-    holds = all(
-        CyclotomicNumber.from_exponent_dict(df.field_order, row[0]) * pref == lam
-        for row in raw
-    )
+    holds = all(row[0] == lam for row in image.entries())
     return lam, holds

@@ -127,3 +127,13 @@ def test_heat_and_gauss_commands(capsys):
     assert run(["gauss-check", "--m", "6"]) == 0
     assert run(["b-entry", "--m", "3", "--beta", "1", "--gamma", "5"]) == 0
     capsys.readouterr()
+
+
+def test_proof_commands_reject_bad_index(capsys):
+    for argv in (
+        ["gauss-check", "--m", "0"],
+        ["b-entry", "--m", "0", "--beta", "0", "--gamma", "0"],
+        ["b-entry", "--m", "-3", "--beta", "1", "--gamma", "0"],
+    ):
+        assert run(argv) == 1
+        assert "index m must be a positive integer" in capsys.readouterr().err

@@ -207,6 +207,14 @@ def test_gauss_sum_identity():
         assert gauss_sum_identity_check(m), m
 
 
+def test_proof_entry_points_reject_bad_index():
+    for m in (0, -3, 2.0):
+        for call in (build_proof_matrices, gauss_sum_identity_check,
+                     lambda m: b_entry_bruteforce(m, 1, 0)):
+            with pytest.raises(ValueError, match="index m must be a positive integer"):
+                call(m)
+
+
 def test_f_j_on_theta():
     mp.prec = 160
     th = theta_expansion(400)

@@ -301,6 +301,65 @@ def test_rho_Z_powers_are_signed_permutations():
             z = rho_eval(df, mp_pow(MP_Z, k))
             assert z._s_power == 0
             assert _same_entries(z, power) and z == power, (df.m, k)
+            for gen in (rho_Z(df, k), rho_Z(df, k - 4), rho_Z(df, k + 8)):
+                assert gen._s_power == 0
+                assert _same_entries(gen, power) and gen == power, (df.m, k)
             power = power @ s2
         assert rho_Z(df) == s2 and _same_entries(rho_Z(df), s2)
         assert rho_eval(df, MP_S)._s_power == 1
+
+
+# -- generator powers and the product kernel ------------------------------
+
+
+def test_rho_T_powers():
+    for df in _forms():
+        T = rho_T(df)
+        power = identity_matrix(df)
+        for e in range(6):
+            assert rho_T(df, e) == power and _same_entries(rho_T(df, e), power), (df.m, e)
+            if 1 <= e <= 3:
+                inverse = power.conjugate_transpose()
+                assert rho_T(df, -e) == inverse and _same_entries(rho_T(df, -e), inverse)
+            power = power @ T
+        assert rho_T(df, 4 * df.m).is_identity()
+        assert _same_entries(rho_T(df, 4 * df.m), identity_matrix(df))
+
+
+def test_rho_S_inverse():
+    for df in _forms():
+        S, S_inv = rho_S(df), rho_S(df, inverse=True)
+        assert S_inv._s_power == 1
+        assert (S_inv @ S).is_identity() and (S @ S_inv).is_identity(), df.m
+        assert _same_entries(S_inv @ S, identity_matrix(df))
+        assert S_inv == S.conjugate_transpose()
+        assert _same_entries(S_inv, S.conjugate_transpose())
+
+
+def _column(mat, j):
+    return WeilMatrix(mat.df, [[row[j]] for row in mat._raw], mat._s_power, mat.dual)
+
+
+def test_one_column_product_matches_entries_oracle():
+    # the left operands reach every branch of the kernel: single-term rows
+    # with coefficient 1 (T, Z) or 2m (S S), rows of coefficient-1 monomials
+    # (S^-1) and rows of general entries (dense, and dense with its table
+    # scaled by -2m e(sigma/4))
+    g = mp_mul(mp_mul(MP_S, mp_pow(MP_T, 3)), MP_S.inv())
+    for df in _forms():
+        S, dense = rho_S(df), rho_eval(df, g)
+        lefts = (rho_T(df, 3), rho_Z(df, 1), S @ S, rho_S(df, inverse=True), dense,
+                 _rescaled(dense, 2, -1))
+        ent = dense.entries()
+        for left in lefts:
+            square = left @ dense
+            for j in range(df.size):
+                col = left @ _column(dense, j)
+                assert col._s_power == square._s_power
+                assert col == _column(square, j), (df.m, j)
+                for i in range(df.size):
+                    want = sum(
+                        (left.entry(i, k) * ent[k][j] for k in range(df.size)),
+                        CyclotomicNumber.zero(df.field_order),
+                    )
+                    assert col.entries()[i][0] == want == square.entry(i, j), (df.m, i, j)
