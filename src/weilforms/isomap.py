@@ -7,10 +7,10 @@ The machinery that certifies the splitting also lives here: the character
 matrices A, C, R and B = CA over the cyclotomic field, the exact rank of
 B, the Gauss-sum closed form for AR, and the numeric slash-operator
 consistency check that ties the matrices back to actual evaluations.
-Every entry of A and C is a 4m-th root of unity and R is one common
-prefactor times such a table, so B and AR are computed from integer
-exponent tables: each entry counts the exponents of its terms and is
-reduced into the power basis once.
+Every entry of A and C is a 4m-th root of unity and R is rho(S) from
+weilrep, so B and AR are WeilMatrix products of integer exponent tables
+(each entry is reduced into the power basis once), and AR is compared with
+its closed form by WeilMatrix equality, which aligns R's prefactor.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 from mpmath import mp, mpc, mpf, sqrt
 
 from .arith import euler_phi, integer_matrix_rank, inverse_mod, is_prime, kronecker
-from .cyclo import CyclotomicNumber, root_of_unity, sqrt_nat
+from .cyclo import CyclotomicNumber, root_of_unity
 from .discform import DiscriminantForm, square_classes
 from .expansions import (
     HarmonicExpansion,
@@ -34,6 +34,7 @@ from .expansions import (
     eval_point,
     plus_space_check,
 )
+from .weilrep import WeilMatrix, rho_S
 
 __all__ = [
     "ProofMatrices",
@@ -173,50 +174,36 @@ class ProofMatrices:
 
 
 def _character_tables(m: int):
-    """Exponents mod 4m of the roots of unity in A, C and R.
-
-    Returns the units j, the three tables and R's common prefactor
-    e(-1/8) sqrt(2m)/2m.
-    """
+    """The units j mod 4m and the exponent tables mod 4m of A and C."""
     if not isinstance(m, int) or m < 1:
         raise ValueError("index m must be a positive integer")
     n4 = 4 * m
-    dim = 2 * m
     js = coprime_residues(n4)
-    a = [[j * g * g % n4 for g in range(dim)] for j in js]
-    c = [[-j * b * b % n4 for j in js] for b in range(dim)]
-    r = [[-2 * l * g % n4 for g in range(dim)] for l in range(dim)]
-    return js, a, c, r, root_of_unity(-1, 8) * sqrt_nat(dim) / dim
+    a = [[j * g * g % n4 for g in range(2 * m)] for j in js]
+    c = [[-j * b * b % n4 for j in js] for b in range(2 * m)]
+    return js, a, c
 
 
-def _root_product(x, y, n: int, scale=None):
-    """scale * sum_t e((x[i][t] + y[t][j])/n) for two exponent tables.
-
-    Each entry counts its exponents and is reduced once, so no
-    intermediate field element is built.
-    """
-    out = []
-    for row in x:
-        out_row = []
-        for col in zip(*y):
-            counts: dict[int, int] = {}
-            for e, f in zip(row, col):
-                k = (e + f) % n
-                counts[k] = counts.get(k, 0) + 1
-            val = CyclotomicNumber.from_exponent_dict(n, counts)
-            out_row.append(val if scale is None else val * scale)
-        out.append(tuple(out_row))
-    return tuple(out)
+def _as_weil(df: DiscriminantForm, table) -> WeilMatrix:
+    """A table of exponents mod 4m as a WeilMatrix over Q(zeta_N), N = df.field_order."""
+    v = df.field_order // (4 * df.m)
+    return WeilMatrix(df, [[{e * v: 1} for e in row] for row in table], 0)
 
 
 def build_proof_matrices(m: int) -> ProofMatrices:
-    """Exact A, C, R and B = CA for index m."""
+    """Exact A, C, R = rho(S) and B = CA for index m."""
     n4 = 4 * m
-    js, xa, xc, xr, pref = _character_tables(m)
+    js, xa, xc = _character_tables(m)
+    df = DiscriminantForm(m)
     a = tuple(tuple(root_of_unity(e, n4) for e in row) for row in xa)
     c = tuple(tuple(root_of_unity(e, n4) for e in row) for row in xc)
-    r = tuple(tuple(pref * root_of_unity(e, n4) for e in row) for row in xr)
-    return ProofMatrices(m, js, a, c, r, _root_product(xc, xa, n4))
+    r = tuple(tuple(row) for row in rho_S(df).entries())
+    b = []
+    for row in (_as_weil(df, xc) @ _as_weil(df, xa))._raw:
+        if any(d.keys() - {0} for d in row):
+            raise ArithmeticError("B entry failed to reduce to an integer")
+        b.append(tuple(CyclotomicNumber.from_rational(d.get(0, 0)) for d in row))
+    return ProofMatrices(m, js, a, c, r, tuple(b))
 
 
 def b_entry_bruteforce(m: int, beta: int, gamma: int) -> int:
@@ -271,15 +258,7 @@ def rank_lemma_check(m: int) -> RankLemmaReport:
     """
     mats = build_proof_matrices(m)
     dim = 2 * m
-    b_int = []
-    for row in mats.B:
-        int_row = []
-        for x in row:
-            val = x.as_rational()
-            if val.denominator != 1:
-                raise ArithmeticError("B entry failed to reduce to an integer")
-            int_row.append(int(val))
-        b_int.append(int_row)
+    b_int = [[int(x.as_rational()) for x in row] for row in mats.B]
     expected = 2 * euler_phi(m)
     rank = integer_matrix_rank([row[:] for row in b_int])
     leading = integer_matrix_rank([row[:expected] for row in b_int])
@@ -313,21 +292,25 @@ def _epsilon_inverse(j: int) -> CyclotomicNumber:
 
 
 def gauss_sum_identity_check(m: int) -> bool:
-    """Entrywise exact check of the closed form for the product AR.
+    """Exact check of the closed form for the product AR.
 
     The row for the unit j must equal (4m/j) eps_j^-1 e(-j^-1 gamma^2/4m)
-    with j^-1 the inverse mod 4m and (4m/j) the Kronecker symbol.
+    with j^-1 the inverse mod 4m and (4m/j) the Kronecker symbol.  AR is a
+    WeilMatrix product with R = rho(S), and the closed form is compared
+    with it at s_power 0, so the comparison aligns R's prefactor.
     """
     n4 = 4 * m
-    js, xa, _, xr, pref = _character_tables(m)
-    ar = _root_product(xa, xr, n4, pref)
-    for row, j in enumerate(js):
+    js, xa, _ = _character_tables(m)
+    df = DiscriminantForm(m)
+    n = df.field_order
+    v = n // n4
+    closed = []
+    for j in js:
         jinv = inverse_mod(j, n4)
-        front = kronecker(n4, j) * _epsilon_inverse(j)
-        for g in range(2 * m):
-            if ar[row][g] != front * root_of_unity(-jinv * g * g, n4):
-                return False
-    return True
+        eps_inv = 0 if j % 4 == 1 else 3 * n // 4  # eps_j^-1 = -i = e(3/4)
+        sign = kronecker(n4, j)
+        closed.append([{(eps_inv - jinv * g * g * v) % n: sign} for g in range(2 * m)])
+    return _as_weil(df, xa) @ rho_S(df) == WeilMatrix(df, closed, 0)
 
 
 def f_j_consistency_check(f: HarmonicExpansion, m: int, k: int, j: int,

@@ -15,12 +15,14 @@ on the same word.
 Matrices are stored in a scaled-integer form: entries are formal integer
 combinations of powers of zeta_N (N = lcm(8, 4m)) with a global prefactor
 (e(-sigma/8)/sqrt(2m))^s_power, where s_power counts the S-factors used.
-WeilMatrix.__matmul__ is the only product: it convolves integer exponent
-tables and re-reduces each output row into the power basis, except a row
-whose left row holds a single term, which is a shifted copy of a right row
-and stays as small as that row.  Equality compares the tables themselves
-once the prefactor powers are aligned; materialized entries are exact
-CyclotomicNumbers.
+Weil matrices are 2m x 2m; the character matrices of isomap use the same
+form at other shapes (phi(4m) x 2m and back), and a one-column table is a
+vector.  WeilMatrix.__matmul__ is the only product: it convolves integer
+exponent tables and re-reduces each output row into the power basis,
+except a row whose left row holds a single term, which is a shifted copy
+of a right row and stays as small as that row.  Equality compares the
+tables themselves once the prefactor powers are aligned; materialized
+entries are exact CyclotomicNumbers.
 """
 
 from __future__ import annotations
@@ -64,7 +66,12 @@ def _add_shifted(acc: dict, d: dict, s: int, n: int) -> None:
 
 
 class WeilMatrix:
-    """A 2m x 2m matrix over Q(zeta_lcm(8,4m)) in scaled-integer form."""
+    """A matrix over Q(zeta_lcm(8,4m)) in scaled-integer form.
+
+    Weil matrices are 2m x 2m, but any rectangular table works: products
+    need matching inner sizes, and tables of different shapes are unequal.
+    `dim` is the size 2m of the discriminant form, not of the table.
+    """
 
     __slots__ = ("df", "_raw", "_s_power", "dual", "_entries")
 
@@ -78,6 +85,10 @@ class WeilMatrix:
     @property
     def dim(self) -> int:
         return self.df.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self._raw), len(self._raw[0])
 
     @property
     def order(self) -> int:
@@ -103,6 +114,8 @@ class WeilMatrix:
             return NotImplemented
         if self.df != other.df:
             raise ValueError("matrices live over different discriminant forms")
+        if self.shape[1] != other.shape[0]:
+            raise ValueError("inner sizes of the product differ")
         n = self.order
         b = other._raw
         out = []
@@ -164,7 +177,7 @@ class WeilMatrix:
     def __eq__(self, other):
         if not isinstance(other, WeilMatrix):
             return NotImplemented
-        if self.df != other.df:
+        if self.df != other.df or self.shape != other.shape:
             return False
         # raw_a P^sa = raw_b P^sb with P = e(-sigma/8)/sqrt(2m) and sa >= sb
         # is e(-sigma d/8) sqrt(2m)^(d mod 2) raw_a = (2m)^ceil(d/2) raw_b
@@ -190,17 +203,6 @@ class WeilMatrix:
         return True
 
     __hash__ = None
-
-    def apply(self, vec: list[CyclotomicNumber]) -> list[CyclotomicNumber]:
-        """Matrix-vector product over exact cyclotomic numbers."""
-        ent = self.entries()
-        out = []
-        for i in range(self.dim):
-            acc = CyclotomicNumber.zero(self.order)
-            for j in range(self.dim):
-                acc = acc + ent[i][j] * vec[j]
-            out.append(acc)
-        return out
 
     def embed(self, precision: int = 53) -> list[list[complex]]:
         return [[x.embed(precision) for x in row] for row in self.entries()]

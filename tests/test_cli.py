@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, reports, file pipelines."""
 
+import hashlib
 import json
 import random
+import shlex
 
 import pytest
 
@@ -137,3 +139,32 @@ def test_proof_commands_reject_bad_index(capsys):
     ):
         assert run(argv) == 1
         assert "index m must be a positive integer" in capsys.readouterr().err
+
+
+# SHA-256 of the --json report bytes, recorded before the proof matrices
+# moved onto WeilMatrix products; any change to a verdict or to the report
+# format shows up here.
+REPORT_DIGESTS = {
+    "gauss-check --m 1": "46a41b7db43ca7d488a2559c35579ea6cf93b8335996b675bc0542d8a8d1f62d",
+    "rank-lemma --m 1": "1c1538bbad3f27384caeaad4e5a72d0235ceb4316a8007c0837d6f8d6778076e",
+    "b-entry --m 1 --beta 1 --gamma 2": "a8fb82aba532fce3b10ddd44d2ff0aab81ea3fc19b265039bfdf02d735d1e09c",
+    "gauss-check --m 4": "fb9be72fee6086554075b0da7e5f8994a64a81ab25fb4cda96618c5e0ff599fa",
+    "rank-lemma --m 4": "2509083fdf306a62c69c5b50b8bc8a9c8e43246cb1bc376221d090c19af21ca0",
+    "b-entry --m 4 --beta 1 --gamma 2": "6765f8fe07b39f9e23356be8b293cc2e33a746e3e5f5e174caf571d79a7a6963",
+    "gauss-check --m 7": "93a87a13ffaed79db5cdd9a72a65bd45fc6a21e3173694d1460b3c77c915a8c3",
+    "rank-lemma --m 7": "c0ad07c5f75130231f24765562aa8d7a10f5d73af6411837a9da4a30a9c03299",
+    "b-entry --m 7 --beta 1 --gamma 2": "72f1828839ec44a1c867984bc73ec2a164b835607eb243f278169bae061404c8",
+    "rho --m 5 --word S": "6a9cdcad86be986b9618c31a899fa91d671b3c746e1609cac01e862bd62867bb",
+    "rho --m 5 --word S --dual": "9a1e9ababe29ddf97b0ddeee9833a4b9e60e03804bae665fa441ce6931b5e63c",
+    "rho --m 5 --word \"T' S' T T T Z S'\"": "b9b3769593fec3ba388f61a014dd5da01bc540f607db77f482710463bcfaf875",
+    "rho --m 5 --word \"T' S' T T T Z S'\" --dual": "3898e8eb399fbe6b4e6f525ec2e1469bf5403452e8064e644ad2ca59733b35f4",
+}
+
+
+def test_json_report_bytes_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("WEIL_PRECISION_BITS", raising=False)
+    out = tmp_path / "report.json"
+    for command, digest in REPORT_DIGESTS.items():
+        assert run([*shlex.split(command), "--json", str(out)]) == 0, command
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+    capsys.readouterr()

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from weilforms.arith import euler_phi
+from weilforms.arith import euler_phi, inverse_mod, kronecker
+from weilforms.cyclo import root_of_unity, sqrt_nat
 from weilforms.discform import DiscriminantForm
 from weilforms.expansions import (
     HarmonicExpansion,
@@ -14,8 +15,8 @@ from weilforms.expansions import (
     theta_expansion,
 )
 from weilforms.isomap import (
+    _as_weil,
     _character_tables,
-    _root_product,
     b_entry_bruteforce,
     build_proof_matrices,
     combine_to_scalar,
@@ -25,7 +26,7 @@ from weilforms.isomap import (
     rank_lemma_check,
     split_to_vector,
 )
-from weilforms.weilrep import rho_S
+from weilforms.weilrep import WeilMatrix, rho_S
 
 
 def test_coprime_residues():
@@ -104,13 +105,19 @@ def test_split_image_satisfies_T():
     assert F.support_congruence_ok()
 
 
+def _reference_R(m):
+    """The S-action built from roots of unity, independently of weilrep:
+    e(-1/8) sqrt(2m)/2m e(-2 l gamma/4m) in row l, column gamma."""
+    pref = root_of_unity(-1, 8) * sqrt_nat(2 * m) / (2 * m)
+    return tuple(
+        tuple(pref * root_of_unity(-2 * l * g, 4 * m) for g in range(2 * m))
+        for l in range(2 * m)
+    )
+
+
 def test_R_matches_weil_S_action():
     for m in (1, 2, 3, 5):
-        mats = build_proof_matrices(m)
-        s = rho_S(DiscriminantForm(m))
-        for b in range(2 * m):
-            for g in range(2 * m):
-                assert mats.R[b][g] == s.entry(b, g), (m, b, g)
+        assert build_proof_matrices(m).R == _reference_R(m), m
 
 
 def _matmul(x, y):
@@ -129,20 +136,43 @@ def _matmul(x, y):
     return tuple(out)
 
 
+def _entries(mat):
+    return tuple(tuple(row) for row in mat.entries())
+
+
 def test_exponent_count_products_match_generic_matmul():
     for m in range(1, 6):
+        df = DiscriminantForm(m)
         mats = build_proof_matrices(m)
-        js, xa, _, xr, pref = _character_tables(m)
+        js, xa, xc = _character_tables(m)
         assert js == mats.j_list
+        a_w, c_w = _as_weil(df, xa), _as_weil(df, xc)
+        assert _entries(a_w) == mats.A and _entries(c_w) == mats.C
         ca = _matmul(mats.C, mats.A)
-        ar = _matmul(mats.A, mats.R)
-        got_ar = _root_product(xa, xr, 4 * m, pref)
-        for b in range(2 * m):
-            for g in range(2 * m):
-                assert mats.B[b][g] == ca[b][g], (m, b, g)
-        for row in range(len(js)):
-            for g in range(2 * m):
-                assert got_ar[row][g] == ar[row][g], (m, row, g)
+        assert _entries(c_w @ a_w) == ca == mats.B, m
+        assert _entries(a_w @ rho_S(df)) == _matmul(mats.A, _reference_R(m)), m
+
+
+def _closed_AR(m, sign=1, eps=True):
+    """sign (4m/j) eps_j^-1 e(-j^-1 gamma^2/4m) at s_power 0, or without eps_j^-1."""
+    df = DiscriminantForm(m)
+    n, n4 = df.field_order, 4 * m
+    rows = []
+    for j in coprime_residues(n4):
+        f = 3 * n // 4 if eps and j % 4 == 3 else 0
+        c = sign * kronecker(n4, j)
+        rows.append([{(f - inverse_mod(j, n4) * g * g * n // n4) % n: c}
+                     for g in range(2 * m)])
+    return WeilMatrix(df, rows, 0)
+
+
+def test_gauss_sum_closed_form_detects_wrong_factors():
+    for m in (1, 2, 3, 5, 7):
+        df = DiscriminantForm(m)
+        ar = _as_weil(df, _character_tables(m)[1]) @ rho_S(df)
+        assert ar == _closed_AR(m), m
+        assert ar != _closed_AR(m, sign=-1), m
+        assert ar != _closed_AR(m, eps=False), m
 
 
 def test_B_equals_bruteforce_character_sums():

@@ -130,10 +130,9 @@ def test_shintani_matches_rho_eval():
 def test_shintani_all_ones_eigenvector():
     for m in (1, 2, 3, 5):
         df = DiscriminantForm(m)
-        ones = [CyclotomicNumber.one(df.field_order)] * df.size
+        ones = WeilMatrix(df, [[{0: 1}] for _ in range(df.size)], 0)
         for n in (-3, 1, 4):
-            out = shintani_unipotent(df, n).apply(ones)
-            assert all(v == 1 for v in out), (m, n)
+            assert shintani_unipotent(df, n) @ ones == ones, (m, n)
 
 
 def _random_gamma0(m, rng, negative_a=False):
@@ -363,3 +362,17 @@ def test_one_column_product_matches_entries_oracle():
                         CyclotomicNumber.zero(df.field_order),
                     )
                     assert col.entries()[i][0] == want == square.entry(i, j), (df.m, i, j)
+
+
+def test_shapes_must_match():
+    df = DiscriminantForm(3)
+    S, I = rho_S(df), identity_matrix(df)
+    e_0 = _column(I, 0)
+    assert (I.shape, e_0.shape) == ((6, 6), (6, 1))
+    assert I != e_0 and e_0 != I
+    assert S != _column(S, 0)
+    assert S @ e_0 == _column(S, 0)
+    with pytest.raises(ValueError, match="inner sizes"):
+        e_0 @ S
+    with pytest.raises(ValueError, match="inner sizes"):
+        S @ WeilMatrix(df, [[{0: 1}]], 0)
