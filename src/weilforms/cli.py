@@ -11,41 +11,13 @@ WEIL_PRECISION_BITS bits of working precision (default 128).
 from __future__ import annotations
 
 import argparse
+import cmath
 import random
 import sys
 from pathlib import Path
 
 from . import containers
 from .discform import DiscriminantForm
-from .expansions import (
-    TruncationError,
-    default_precision,
-    eval_point,
-    plus_space_check,
-    random_plus_expansion,
-    theta_expansion,
-    verify_S_transform,
-)
-from .isomap import (
-    b_entry_bruteforce,
-    build_proof_matrices,
-    combine_to_scalar,
-    f_j_consistency_check,
-    gauss_sum_identity_check,
-    rank_lemma_check,
-    split_to_vector,
-)
-from .jacobi import (
-    casimir_reduced_fd,
-    heat_operator_term_check,
-    jacobi_eval_direct,
-    random_jacobi_form,
-    reconstruct,
-    theta_decompose,
-    thm2_map,
-)
-from .metaplectic import parse_word
-from .weilrep import borcherds_eigencheck, identity_matrix, rho_S, rho_T, rho_eval
 
 __all__ = ["main", "build_parser", "DEFAULT_SEED"]
 
@@ -61,13 +33,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _parse_complex(text: str) -> complex:
+    """A finite complex number written with i (e.g. "0.3+1i")."""
+    value = complex(text.replace("i", "j"))
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite complex number")
+    return value
+
+
 def _parse_points(text: str) -> list[complex]:
     """Semicolon-separated complex numbers, written with i (e.g. "i;0.3+1i")."""
     points = []
     for part in text.split(";"):
         part = part.strip()
         if part:
-            points.append(complex(part.replace("i", "j")))
+            points.append(_parse_complex(part))
     if not points:
         raise ValueError("no points given")
     return points
@@ -129,6 +109,8 @@ def _load_scalar(args):
     if args.builtin:
         if args.builtin != "theta":
             raise ValueError(f"unknown builtin {args.builtin!r}")
+        from .expansions import theta_expansion
+
         return theta_expansion(args.window), 1, 0
     if not args.infile:
         raise ValueError("give --in FILE or --builtin theta")
@@ -153,6 +135,10 @@ def _cmd_milgram(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    from .expansions import default_precision
+    from .metaplectic import parse_word
+    from .weilrep import rho_eval
+
     prec = default_precision()
     df = DiscriminantForm(args.m)
     word = parse_word(args.word)
@@ -167,6 +153,9 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .expansions import plus_space_check
+    from .isomap import split_to_vector
+
     f, m, k = _load_scalar(args)
     F = split_to_vector(f, m, k, allow_composite=args.allow_composite)
     checks = [
@@ -181,6 +170,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_combine(args) -> int:
+    from .expansions import plus_space_check
+    from .isomap import combine_to_scalar
+
     F = containers.vector_from_json(_read_container(args.infile))
     f = combine_to_scalar(F, k=args.k)
     k = (f.weight_num - 1) // 2
@@ -191,19 +183,24 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .expansions import TruncationError, default_precision, eval_point
+
     prec = default_precision()
     points = _parse_points(args.points)
     if args.infile:
         kind, payload = containers.load_form(_read_container(args.infile))
     else:
         kind, payload = "scalar", _load_scalar(args)
+    if kind == "jacobi":
+        from .jacobi import jacobi_eval_direct
+
+        z = _parse_complex(args.z) if args.z else 0j
     checks = []
     values = []
     for p in points:
         name = f"eval@{p}"
         try:
             if kind == "jacobi":
-                z = complex(args.z.replace("i", "j")) if args.z else 0j
                 val, bound = jacobi_eval_direct(payload, p, z, args.truncation,
                                                 precision=prec)
                 values.append({"point": str(p), "z": str(z),
@@ -231,6 +228,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_plus(args) -> int:
+    from .expansions import plus_space_check
+
     f, m, k = _load_scalar(args)
     ok = plus_space_check(f, m, k)
     checks = [_check("plus-space", "exact", ok, detail=f"m={m}, k={k}")]
@@ -244,6 +243,9 @@ def _cmd_check_T(args) -> int:
 
 
 def _cmd_check_S(args) -> int:
+    from .expansions import TruncationError, default_precision, verify_S_transform
+    from .isomap import split_to_vector
+
     prec = default_precision()
     points = _parse_points(args.points)
     if args.infile:
@@ -262,6 +264,9 @@ def _cmd_check_S(args) -> int:
 
 
 def _cmd_fj_check(args) -> int:
+    from .expansions import TruncationError, default_precision
+    from .isomap import f_j_consistency_check
+
     prec = default_precision()
     points = _parse_points(args.points)
     f, m, k = _load_scalar(args)
@@ -278,6 +283,8 @@ def _cmd_fj_check(args) -> int:
 
 
 def _cmd_rank_lemma(args) -> int:
+    from .isomap import rank_lemma_check
+
     rep = rank_lemma_check(args.m)
     checks = [_check(
         "rank-protocol", "exact", True,
@@ -296,12 +303,16 @@ def _cmd_rank_lemma(args) -> int:
 
 
 def _cmd_gauss_check(args) -> int:
+    from .isomap import gauss_sum_identity_check
+
     checks = [_check("gauss-sum-rows", "exact", gauss_sum_identity_check(args.m),
                      detail=f"m={args.m}")]
     return _finish(args, "gauss-check", {"m": args.m}, checks)
 
 
 def _cmd_b_entry(args) -> int:
+    from .isomap import b_entry_bruteforce, build_proof_matrices
+
     value = b_entry_bruteforce(args.m, args.beta, args.gamma)
     pm = build_proof_matrices(args.m)
     entry = pm.B[args.beta % (2 * args.m)][args.gamma % (2 * args.m)]
@@ -312,6 +323,8 @@ def _cmd_b_entry(args) -> int:
 
 
 def _cmd_jacobi_decompose(args) -> int:
+    from .jacobi import reconstruct, theta_decompose
+
     phi = containers.jacobi_from_json(_read_container(args.infile))
     hs = theta_decompose(phi)
     checks = [
@@ -324,6 +337,8 @@ def _cmd_jacobi_decompose(args) -> int:
 
 
 def _cmd_jacobi_reconstruct(args) -> int:
+    from .jacobi import reconstruct
+
     hs = containers.vector_from_json(_read_container(args.infile))
     phi = reconstruct(hs, hs.df.m)
     checks = [_check("well-formed", "exact", True,
@@ -334,6 +349,10 @@ def _cmd_jacobi_reconstruct(args) -> int:
 
 
 def _cmd_jacobi_thm2(args) -> int:
+    from .expansions import plus_space_check
+    from .isomap import split_to_vector
+    from .jacobi import theta_decompose, thm2_map
+
     phi = containers.jacobi_from_json(_read_container(args.infile))
     f = thm2_map(phi, allow_composite=args.allow_composite)
     k_scalar = phi.k - 1
@@ -350,6 +369,8 @@ def _cmd_jacobi_thm2(args) -> int:
 
 
 def _cmd_heat_check(args) -> int:
+    from .jacobi import heat_operator_term_check
+
     value = heat_operator_term_check(args.m, args.r)
     checks = [_check("heat-term", "exact", value == 0,
                      detail=f"value={value} (in units of 2 pi i)")]
@@ -357,10 +378,13 @@ def _cmd_heat_check(args) -> int:
 
 
 def _cmd_casimir_check(args) -> int:
+    from .expansions import default_precision
+    from .jacobi import casimir_reduced_fd
+
     prec = default_precision()
     phi = containers.jacobi_from_json(_read_container(args.infile))
-    tau = complex(args.tau.replace("i", "j"))
-    z = complex(args.z.replace("i", "j"))
+    tau = _parse_complex(args.tau)
+    z = _parse_complex(args.z)
     value = casimir_reduced_fd(phi, phi.k, phi.m, (tau, z), args.h,
                                precision=prec)
     dev = abs(complex(value))
@@ -372,6 +396,13 @@ def _cmd_casimir_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .expansions import (TruncationError, default_precision, plus_space_check,
+                             random_plus_expansion, theta_expansion, verify_S_transform)
+    from .isomap import combine_to_scalar, gauss_sum_identity_check, split_to_vector
+    from .jacobi import (heat_operator_term_check, random_jacobi_form, reconstruct,
+                         theta_decompose, thm2_map)
+    from .weilrep import borcherds_eigencheck, identity_matrix, rho_S, rho_T
+
     prec = default_precision()
     rng = random.Random(args.seed)
     checks = []

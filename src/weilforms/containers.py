@@ -10,12 +10,11 @@ bytes.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from numbers import Rational
 
 from .discform import DiscriminantForm
-from .expansions import HarmonicExpansion, VectorForm
-from .jacobi import JacobiForm
 
 __all__ = [
     "encode_value",
@@ -44,13 +43,15 @@ def encode_value(v):
 
 
 def decode_value(obj):
+    """Inverse of encode_value; JSON integers come back exact, and booleans,
+    NaN and infinities are rejected."""
     if obj is None:
         return None
-    if isinstance(obj, str):
+    if isinstance(obj, (str, int)) and not isinstance(obj, bool):
         return Fraction(obj)
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    raise TypeError(f"cannot decode a value of type {type(obj).__name__}")
+    if isinstance(obj, float) and math.isfinite(obj):
+        return obj
+    raise TypeError(f"cannot decode {obj!r}: expected a string, an integer or a finite float")
 
 
 def _coeff_records(f: HarmonicExpansion, gamma: int | None = None) -> list[dict]:
@@ -109,6 +110,8 @@ def scalar_to_json(f: HarmonicExpansion, m: int, k: int) -> dict:
 
 
 def scalar_from_json(obj) -> tuple[HarmonicExpansion, int, int]:
+    from .expansions import HarmonicExpansion
+
     if obj.get("kind") != "scalar":
         raise ValueError("expected a scalar container")
     cp, cm = _coeff_tables(obj["coeffs"])
@@ -137,6 +140,8 @@ def vector_to_json(F: VectorForm) -> dict:
 
 
 def vector_from_json(obj) -> VectorForm:
+    from .expansions import HarmonicExpansion, VectorForm
+
     if obj.get("kind") != "vector":
         raise ValueError("expected a vector container")
     m = int(obj["m"])
@@ -168,6 +173,8 @@ def jacobi_to_json(phi: JacobiForm) -> dict:
 
 
 def jacobi_from_json(obj) -> JacobiForm:
+    from .jacobi import JacobiForm
+
     if obj.get("kind") != "jacobi":
         raise ValueError("expected a jacobi container")
 
@@ -199,7 +206,7 @@ def load_form(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def loads(text: str):

@@ -20,8 +20,6 @@ from functools import lru_cache
 from math import lcm
 from numbers import Rational
 
-from mpmath import mp, mpc, mpf
-
 from .arith import euler_phi, factorize, moebius, squarefree_decompose
 
 __all__ = [
@@ -327,6 +325,8 @@ class CyclotomicNumber:
         The working precision is raised until the accumulated roundoff
         bound drops below 2^(-precision+4) relative to the result.
         """
+        from mpmath import mp, mpc, mpf
+
         if self.is_zero():
             return mpc(0)
         terms = [(j, c) for j, c in enumerate(self._coeffs) if c]
@@ -393,7 +393,7 @@ def _coerce(x):
 
 def _unit_root_mpc(two_j: int, n: int) -> mpc:
     # exp(pi i * 2j/n) at current mpmath working precision
-    from mpmath import expjpi
+    from mpmath import expjpi, mpf
 
     return expjpi(mpf(two_j) / n)
 

@@ -23,10 +23,7 @@ import os
 from fractions import Fraction
 from numbers import Rational
 
-from mpmath import erfc, exp, expjpi, mp, mpc, mpf, pi, sqrt
-
 from .discform import DiscriminantForm, square_classes
-from .weilrep import rho_S
 
 __all__ = [
     "TruncationError",
@@ -69,6 +66,8 @@ def _norm_index(n):
 
 
 def _to_mpf(x) -> mpf:
+    from mpmath import mpf
+
     if isinstance(x, Rational):
         f = Fraction(x)
         return mpf(f.numerator) / f.denominator
@@ -76,6 +75,8 @@ def _to_mpf(x) -> mpf:
 
 
 def _to_mpc(x) -> mpc:
+    from mpmath import mpc
+
     if isinstance(x, Rational):
         return mpc(_to_mpf(x))
     return mpc(x)
@@ -92,6 +93,8 @@ def inc_gamma(a, y, precision: int | None = None) -> mpf:
     Gamma(1, y) = e^-y, and by the inverted recurrence for smaller a.
     Non-positive integer a are outside the recurrence's reach and rejected.
     """
+    from mpmath import erfc, exp, mp, pi, sqrt
+
     a = Fraction(a)
     if a.denominator not in (1, 2):
         raise ValueError("a must be integral or half-integral")
@@ -325,6 +328,8 @@ def random_plus_expansion(m: int, k: int, rng, *, terms: int = 8,
 
 def _geometric_power_tail(coeff: mpf, rho: float, x: mpf, start: mpf) -> mpf:
     """Bound coeff * sum_{j>=0} (start+j)^rho x^(start+j) for 0 < x < 1."""
+    from mpmath import exp, mpf
+
     if start <= 0:
         raise TruncationError("window too narrow to bound the tail")
     if rho <= 0:
@@ -337,6 +342,8 @@ def _geometric_power_tail(coeff: mpf, rho: float, x: mpf, start: mpf) -> mpf:
 
 def _eval_scalar(f: HarmonicExpansion, tau, growth_exponent):
     """Value and rigorous truncation bound at tau, at current mp precision."""
+    from mpmath import exp, mp, mpc, mpf, pi
+
     t = _to_mpc(tau)
     y = t.imag
     if not y > 0:
@@ -382,6 +389,8 @@ def eval_point(form, tau, *, accuracy: float = 1e-10, growth_exponent=None,
     the declared polynomial growth (default exponent 2k + 2).  Raises
     TruncationError when the bound exceeds `accuracy`.
     """
+    from mpmath import mp, mpc, mpf
+
     prec = precision or default_precision()
     with mp.workprec(prec):
         if isinstance(form, HarmonicExpansion):
@@ -414,6 +423,8 @@ def laplacian_fd(target, k: int, tau, h: float = 1e-3, *,
     `target` is a HarmonicExpansion or a callable tau -> value; the stencil
     error is O(h^2), so harmonic inputs give O(h^2) residuals.
     """
+    from mpmath import mp, mpf
+
     prec = precision or default_precision()
     with mp.workprec(prec):
         if callable(target):
@@ -465,6 +476,10 @@ def verify_S_transform(form: VectorForm, points, tolerance: float = 1e-8, *,
     evaluation windows must be wide enough that the combined truncation
     bounds stay below tolerance/4, otherwise TruncationError propagates.
     """
+    from mpmath import mp, mpf, sqrt
+
+    from .weilrep import rho_S
+
     prec = precision or default_precision()
     df = form.df
     dim = df.size

@@ -15,13 +15,10 @@ its closed form by WeilMatrix equality, which aligns R's prefactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
 from typing import NamedTuple
-
-from mpmath import mp, mpc, mpf, sqrt
 
 from .arith import euler_phi, integer_matrix_rank, inverse_mod, is_prime, kronecker
 from .cyclo import CyclotomicNumber, root_of_unity
@@ -34,7 +31,6 @@ from .expansions import (
     eval_point,
     plus_space_check,
 )
-from .weilrep import WeilMatrix, rho_S
 
 __all__ = [
     "ProofMatrices",
@@ -156,8 +152,7 @@ def combine_to_scalar(F: VectorForm, k: int | None = None) -> HarmonicExpansion:
 # -- proof matrices ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofMatrices:
+class ProofMatrices(NamedTuple):
     """The character matrices certifying the S-transformation of split forms.
 
     Rows of A and columns of C are indexed by the units j mod 4m in
@@ -186,12 +181,16 @@ def _character_tables(m: int):
 
 def _as_weil(df: DiscriminantForm, table) -> WeilMatrix:
     """A table of exponents mod 4m as a WeilMatrix over Q(zeta_N), N = df.field_order."""
+    from .weilrep import WeilMatrix
+
     v = df.field_order // (4 * df.m)
     return WeilMatrix(df, [[{e * v: 1} for e in row] for row in table], 0)
 
 
 def build_proof_matrices(m: int) -> ProofMatrices:
     """Exact A, C, R = rho(S) and B = CA for index m."""
+    from .weilrep import rho_S
+
     n4 = 4 * m
     js, xa, xc = _character_tables(m)
     df = DiscriminantForm(m)
@@ -299,6 +298,8 @@ def gauss_sum_identity_check(m: int) -> bool:
     WeilMatrix product with R = rho(S), and the closed form is compared
     with it at s_power 0, so the comparison aligns R's prefactor.
     """
+    from .weilrep import WeilMatrix, rho_S
+
     n4 = 4 * m
     js, xa, _ = _character_tables(m)
     df = DiscriminantForm(m)
@@ -330,6 +331,8 @@ def f_j_consistency_check(f: HarmonicExpansion, m: int, k: int, j: int,
     expansions of actual modular forms, so corrupted input shows up as a
     deviation above tolerance rather than an error.
     """
+    from mpmath import mp, mpc, sqrt
+
     n4 = 4 * m
     if gcd(j, n4) != 1:
         raise ValueError("j must be coprime to 4m")

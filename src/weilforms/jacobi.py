@@ -22,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, sqrt as _fsqrt
 
-from mpmath import exp, mp, mpc, mpf, pi
-
 from .arith import is_prime
 from .discform import DiscriminantForm
 from .expansions import (
@@ -36,7 +34,6 @@ from .expansions import (
     inc_gamma,
     laplacian_fd,
 )
-from .isomap import combine_to_scalar
 
 __all__ = [
     "JacobiForm",
@@ -136,6 +133,8 @@ class JacobiForm:
 
 def _theta_tail(alpha: mpf, beta: mpf, radius: int) -> mpf:
     """Bound 2 sum_{r > radius} e^(-alpha r^2 + beta r), or reject."""
+    from mpmath import exp
+
     edge = 2 * alpha * (radius + 1) - beta
     if not edge > 0:
         raise TruncationError("truncation radius too small for this point")
@@ -161,6 +160,8 @@ def theta_series_eval(m: int, mu: int, tau, z, truncation: int, *,
     radius is too small to control the zeta^r growth at this z (or when
     an explicit `accuracy` is given and the bound exceeds it).
     """
+    from mpmath import exp, mp, mpc, pi
+
     prec = precision or default_precision()
     with mp.workprec(prec):
         t = mpc(tau)
@@ -184,6 +185,8 @@ def theta_series_eval(m: int, mu: int, tau, z, truncation: int, *,
 
 def _theta_truncation_for(m: int, y: mpf, v: mpf, margin: float) -> int:
     """Radius making the theta tail at (y, v) smaller than e^-margin."""
+    from mpmath import pi
+
     alpha = float(pi) * float(y) / (2 * m)
     beta = 2 * float(pi) * abs(float(v))
     if alpha <= 0:
@@ -293,6 +296,8 @@ def jacobi_eval_direct(phi: JacobiForm, tau, z, truncation: int, *,
     for c_minus classes, the constant factor Gamma(3/2 - k, pi D y / m).
     Returns (value, tail bound).
     """
+    from mpmath import exp, mp, mpc, mpf, pi
+
     prec = precision or default_precision()
     m = phi.m
     with mp.workprec(prec):
@@ -353,6 +358,8 @@ def decomposition_consistency_check(phi: JacobiForm, points, *,
     agreement within the combined truncation bounds certifies the
     decomposition display on stored data.
     """
+    from mpmath import mp, mpc, mpf
+
     prec = precision or default_precision()
     m = phi.m
     comps = _numeric_components(phi)
@@ -390,6 +397,8 @@ def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
     O(h^2); a non-harmonic component leaves a residual bounded away
     from 0.
     """
+    from mpmath import mp, mpc, mpf, pi
+
     prec = precision or default_precision()
     with mp.workprec(prec):
         tau0 = mpc(point[0])
@@ -439,6 +448,8 @@ def thm2_map(phi: JacobiForm, *, allow_composite: bool = False) -> HarmonicExpan
     construction.  k must be even (the odd case pairs with skew forms and
     different machinery) and m equal to 1 or prime unless overridden.
     """
+    from .isomap import combine_to_scalar
+
     if phi.k % 2:
         raise ValueError("the composite map is defined for even weight k")
     if not (allow_composite or phi.m == 1 or is_prime(phi.m)):

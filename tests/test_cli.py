@@ -5,13 +5,14 @@ import json
 import random
 import shlex
 
+import mpmath
 import pytest
 
 from weilforms import cli
 from weilforms.containers import dumps, jacobi_to_json, loads, scalar_to_json
 from weilforms.discform import DiscriminantForm
 from weilforms.expansions import theta_expansion
-from weilforms.jacobi import random_jacobi_form
+from weilforms.jacobi import JacobiForm, random_jacobi_form
 from weilforms.metaplectic import parse_word
 from weilforms.weilrep import rho_eval
 
@@ -167,4 +168,108 @@ def test_json_report_bytes_pinned(tmp_path, capsys, monkeypatch):
     for command, digest in REPORT_DIGESTS.items():
         assert run([*shlex.split(command), "--json", str(out)]) == 0, command
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+    capsys.readouterr()
+
+
+def test_non_finite_points_rejected(tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    phi.write_text(dumps(jacobi_to_json(JacobiForm(2, 1, {(1, 1): 1}))))
+    out = tmp_path / "report.json"
+    for argv in (
+        ["eval", "--builtin", "theta", "--points", "nan+1i"],
+        ["eval", "--builtin", "theta", "--points", "i;1e400+1i"],
+        ["eval", "--in", str(phi), "--z", "1e999"],
+        ["check-S", "--builtin", "theta", "--points", "0.1+nani"],
+        ["casimir-check", "--in", str(phi), "--tau", "nan+1i"],
+        ["casimir-check", "--in", str(phi), "--z", "0.1-1e999i"],
+    ):
+        assert run([*argv, "--json", str(out)]) == 1, argv
+        assert "not a finite complex number" in capsys.readouterr().err
+    assert not out.exists()
+    # a non-finite coefficient in an input file is refused before any check runs
+    bad = tmp_path / "nan.json"
+    bad.write_text(dumps(scalar_to_json(theta_expansion(4), 1, 0)).replace('"1"', "NaN", 1))
+    assert run(["eval", "--in", str(bad), "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "cannot decode nan" in captured.err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        dumps({"value": [float("nan"), 0.0]})
+    with pytest.raises(ValueError):
+        dumps({"value": float("inf")})
+
+
+def _report(path):
+    return loads(path.read_text())
+
+
+def test_eval_scalar_vector_and_jacobi_files(tmp_path, capsys):
+    f = theta_expansion(60)
+    scalar, vector, jac = (tmp_path / n for n in ("f.json", "F.json", "phi.json"))
+    out = tmp_path / "report.json"
+    scalar.write_text(dumps(scalar_to_json(f, 1, 0)))
+    assert run(["split", "--in", str(scalar), "--out", str(vector)]) == 0
+    # theta(i) = sum_x e^(-2 pi x^2), Jacobi's theta_3 at nome e^(-2 pi)
+    theta_i = float(mpmath.jtheta(3, 0, mpmath.exp(-2 * mpmath.pi)))
+    assert run(["eval", "--in", str(scalar), "--points", "i", "--json", str(out)]) == 0
+    (value,) = _report(out)["result"]["values"]
+    assert value["value"][0] == pytest.approx(theta_i, rel=1e-14)
+    assert value["value"][1] == 0.0
+    # the components at 4 tau sum back to theta(tau)
+    assert run(["eval", "--in", str(vector), "--points", "4i", "--json", str(out)]) == 0
+    report = _report(out)
+    assert report["parameters"]["kind"] == "vector"
+    (value,) = report["result"]["values"]
+    assert sorted(value["value"]) == ["0", "1"]
+    total = sum(complex(*v) for v in value["value"].values())
+    assert total == pytest.approx(theta_i, rel=1e-14)
+    # sum over odd r of q^((r^2 - 1)/4) at tau = i, z = 0
+    jac.write_text(dumps(jacobi_to_json(JacobiForm(2, 1, {(1, 1): 1}))))
+    want = complex(mpmath.exp(mpmath.pi / 2) * mpmath.jtheta(2, 0, mpmath.exp(-2 * mpmath.pi)))
+    assert run(["eval", "--in", str(jac), "--json", str(out)]) == 0
+    (value,) = _report(out)["result"]["values"]
+    assert value["z"] == "0j"
+    assert complex(*value["value"]) == pytest.approx(want, rel=1e-14)
+    capsys.readouterr()
+
+
+def test_fj_check_builtin_theta(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["fj-check", "--builtin", "theta", "--j", "3", "--json", str(out)]) == 0
+    (check,) = _report(out)["checks"]
+    assert check["name"] == "fj-transform(j=3)" and check["pass"] is True
+    assert check["deviation"] <= check["tolerance"]
+    assert run(["fj-check", "--builtin", "theta", "--j", "2"]) == 1
+    capsys.readouterr()
+
+
+def test_casimir_check_stored_jacobi(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for phi in (JacobiForm(2, 1, {(1, 1): 1}), JacobiForm(2, 1, {}, {(4, 0): 1})):
+        src = tmp_path / "phi.json"
+        src.write_text(dumps(jacobi_to_json(phi)))
+        argv = ["casimir-check", "--in", str(src), "--tau", "0.13+1.05i",
+                "--z", "0.06+0.02i", "--json", str(out)]
+        assert run(argv) == 0
+        report = _report(out)
+        (check,) = report["checks"]
+        assert check["name"] == "reduced-casimir" and check["pass"] is True
+        assert abs(complex(*report["result"]["value"])) == check["deviation"] < 1e-4
+    capsys.readouterr()
+
+
+def test_check_S_stored_vector(tmp_path, capsys):
+    src, vec = tmp_path / "theta.json", tmp_path / "vector.json"
+    out = tmp_path / "report.json"
+    src.write_text(dumps(scalar_to_json(theta_expansion(400), 1, 0)))
+    assert run(["split", "--in", str(src), "--out", str(vec)]) == 0
+    assert run(["check-S", "--in", str(vec), "--points", "i;0.2+1.1i",
+                "--json", str(out)]) == 0
+    (check,) = _report(out)["checks"]
+    assert check["name"] == "S-transform" and check["pass"] is True
+    # a corrupted component breaks the transformation law
+    data = loads(vec.read_text())
+    data["coeffs"][0]["c_plus"] = "3"
+    vec.write_text(dumps(data))
+    assert run(["check-S", "--in", str(vec)]) == 2
     capsys.readouterr()

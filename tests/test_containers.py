@@ -36,6 +36,27 @@ def test_value_codec():
         decode_value([1])
 
 
+def test_decode_json_integers_exactly():
+    big = 12345678901234567891
+    assert decode_value(big) == Fraction(big) and isinstance(decode_value(big), Fraction)
+    assert decode_value(-7) == Fraction(-7)
+    assert decode_value(0) == 0 and isinstance(decode_value(0), Fraction)
+    for bad in (True, False, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(TypeError):
+            decode_value(bad)
+    obj = loads('{"kind": "jacobi", "k": 2, "m": 1, "d_max": 1, "c_minus": [],'
+                ' "c_plus": [{"D": 1, "r": 1, "v": 12345678901234567891}]}')
+    assert jacobi_from_json(obj).c_plus == {(1, 1): Fraction(big)}
+    obj["c_plus"][0]["v"] = True
+    with pytest.raises(TypeError):
+        jacobi_from_json(obj)
+    rec = {"n": "0", "c_plus": 3, "c_minus": None}
+    scalar = {"kind": "scalar", "m": 1, "k": 0, "dual": False, "weight_num": 1,
+              "coeffs": [rec], "window": ["-4", "4"]}
+    f, _, _ = scalar_from_json(scalar)
+    assert f.c_plus == {0: Fraction(3)} and isinstance(f.c_plus[0], Fraction)
+
+
 def test_scalar_roundtrip_exact():
     rng = random.Random(314)
     for m, k in ((1, 0), (3, 1), (5, 0)):
