@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import random
 import sys
 from pathlib import Path
 
@@ -396,6 +395,8 @@ def _cmd_casimir_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    import random
+
     from .expansions import (TruncationError, default_precision, plus_space_check,
                              random_plus_expansion, theta_expansion, verify_S_transform)
     from .isomap import combine_to_scalar, gauss_sum_identity_check, split_to_vector

@@ -90,25 +90,20 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> dict[int, tuple[int, ...]]:
-    """x^e mod Phi_n for e in [phi(n), n), as integer coefficient rows."""
+def _reduction_rows(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """x^e mod Phi_n for e in [phi(n), n), as the nonzero (j, c) of each row."""
     poly = cyclotomic_polynomial(n)
     phi = len(poly) - 1
-    rows: dict[int, tuple[int, ...]] = {}
-    cur = [-c for c in poly[:-1]]
-    rows[phi] = tuple(cur)
-    base = rows[phi]
-    for e in range(phi + 1, n):
-        top = cur[phi - 1]
-        nxt = [0] * phi
-        for j in range(phi - 1):
-            nxt[j + 1] = cur[j]
-        if top:
-            for j in range(phi):
-                if base[j]:
-                    nxt[j] += top * base[j]
-        cur = nxt
-        rows[e] = tuple(cur)
+    base = [-c for c in poly[:-1]]
+    cur = base
+    rows: dict[int, tuple[tuple[int, int], ...]] = {}
+    for e in range(phi, n):
+        if e > phi:
+            top = cur[phi - 1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [x + top * y for x, y in zip(cur, base)]
+        rows[e] = tuple((j, c) for j, c in enumerate(cur) if c)
     return rows
 
 
@@ -129,10 +124,8 @@ def canonical_exponent_dict(n: int, d: dict) -> dict:
         if e < phi:
             out[e] = out[e] + c
         else:
-            row = rows[e]
-            for j in range(phi):
-                if row[j]:
-                    out[j] = out[j] + c * row[j]
+            for j, r in rows[e]:
+                out[j] = out[j] + c * r
     return {j: c for j, c in enumerate(out) if c}
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import TYPE_CHECKING
 
-from .cyclo import CyclotomicNumber, root_of_unity, sqrt_nat
+if TYPE_CHECKING:
+    from .cyclo import CyclotomicNumber
 
 
 class DiscriminantForm:
@@ -81,6 +83,8 @@ class DiscriminantForm:
 
     def milgram_sum(self) -> CyclotomicNumber:
         """sum_{gamma mod 2m} e(Q(gamma)), exactly."""
+        from .cyclo import CyclotomicNumber
+
         n = 4 * self._m
         counts: dict[int, int] = {}
         for gamma in range(2 * self._m):
@@ -90,6 +94,8 @@ class DiscriminantForm:
 
     def milgram_rhs(self) -> CyclotomicNumber:
         """sqrt(|group|) * e((b+ - b-)/8), exactly."""
+        from .cyclo import root_of_unity, sqrt_nat
+
         return sqrt_nat(2 * self._m) * root_of_unity(self.signature_delta, 8)
 
     def milgram_check(self) -> bool:

@@ -18,10 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import euler_phi, integer_matrix_rank, inverse_mod, is_prime, kronecker
-from .cyclo import CyclotomicNumber, root_of_unity
 from .discform import DiscriminantForm, square_classes
 from .expansions import (
     HarmonicExpansion,
@@ -31,6 +30,9 @@ from .expansions import (
     eval_point,
     plus_space_check,
 )
+
+if TYPE_CHECKING:
+    from .cyclo import CyclotomicNumber
 
 __all__ = [
     "ProofMatrices",
@@ -189,6 +191,7 @@ def _as_weil(df: DiscriminantForm, table) -> WeilMatrix:
 
 def build_proof_matrices(m: int) -> ProofMatrices:
     """Exact A, C, R = rho(S) and B = CA for index m."""
+    from .cyclo import CyclotomicNumber, root_of_unity
     from .weilrep import rho_S
 
     n4 = 4 * m
@@ -212,6 +215,8 @@ def b_entry_bruteforce(m: int, beta: int, gamma: int) -> int:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("index m must be a positive integer")
+    from .cyclo import CyclotomicNumber
+
     n4 = 4 * m
     diff = (gamma * gamma - beta * beta) % n4
     counts: dict[int, int] = {}
@@ -287,6 +292,8 @@ def _epsilon_inverse(j: int) -> CyclotomicNumber:
     """1/eps_j for odd j: 1 when j = 1 mod 4, -i when j = 3 mod 4."""
     if j % 2 == 0:
         raise ValueError("epsilon factor needs odd j")
+    from .cyclo import CyclotomicNumber, root_of_unity
+
     return CyclotomicNumber.one() if j % 4 == 1 else root_of_unity(3, 4)
 
 
@@ -332,6 +339,8 @@ def f_j_consistency_check(f: HarmonicExpansion, m: int, k: int, j: int,
     deviation above tolerance rather than an error.
     """
     from mpmath import mp, mpc, sqrt
+
+    from .cyclo import root_of_unity
 
     n4 = 4 * m
     if gcd(j, n4) != 1:

@@ -20,9 +20,13 @@ form at other shapes (phi(4m) x 2m and back), and a one-column table is a
 vector.  WeilMatrix.__matmul__ is the only product: it convolves integer
 exponent tables and re-reduces each output row into the power basis,
 except a row whose left row holds a single term, which is a shifted copy
-of a right row and stays as small as that row.  Equality compares the
-tables themselves once the prefactor powers are aligned; materialized
-entries are exact CyclotomicNumbers.
+of a right row and stays as small as that row.  A row of monomials adds
+shifted right rows; every other row multiplies by Kronecker substitution,
+one Python integer per entry with one digit per power of zeta_N, so a sum
+of products is a few big-integer operations rather than a dict loop per
+pair of terms.  Equality compares the tables themselves once the
+prefactor powers are aligned; materialized entries are exact
+CyclotomicNumbers.
 """
 
 from __future__ import annotations
@@ -55,14 +59,19 @@ def _prefactor_power(m: int, sigma: int, t: int) -> CyclotomicNumber:
     return phase * sqrt_nat(2 * m) * Fraction(1, (2 * m) ** ((t + 1) // 2))
 
 
-def _add_shifted(acc: dict, d: dict, s: int, n: int) -> None:
+def _add_shifted(acc: dict, d: dict, s: int, a: int, n: int) -> None:
+    """acc += a zeta^s d, on exponent dicts."""
     for e, c in d.items():
         k = (e + s) % n
-        v = acc.get(k, 0) + c
+        v = acc.get(k, 0) + a * c
         if v:
             acc[k] = v
         else:
             acc.pop(k, None)
+
+
+def _pack(d: dict, w: int, n: int) -> int:
+    return sum(c << (w * (e % n)) for e, c in d.items())
 
 
 class WeilMatrix:
@@ -109,7 +118,17 @@ class WeilMatrix:
         return self._entries
 
     def __matmul__(self, other: "WeilMatrix") -> "WeilMatrix":
-        """The product; other may have any number of columns (one is a vector)."""
+        """The product; other may have any number of columns (one is a vector).
+
+        A row of monomials adds shifted, scaled right rows (one term: a
+        copy).  Any other row multiplies by Kronecker substitution: an
+        entry sum c zeta^e packs into the integer sum c 2^(w (e mod n)),
+        each output entry sums products of packed entries as one integer,
+        and its residue mod 2^(w n) - 1 folds the exponents mod n.  No
+        folded coefficient exceeds B = max_i sum_k |L_ik|_1 max_kj |R_kj|_1
+        in absolute value, so w = bitlen(B) + 2 reads each one back as a
+        balanced w-bit digit.
+        """
         if not isinstance(other, WeilMatrix):
             return NotImplemented
         if self.df != other.df:
@@ -118,6 +137,7 @@ class WeilMatrix:
             raise ValueError("inner sizes of the product differ")
         n = self.order
         b = other._raw
+        packed = None
         out = []
         for row in self._raw:
             terms = [(k, d) for k, d in enumerate(row) if d]
@@ -127,24 +147,39 @@ class WeilMatrix:
                 ((s, c),) = d.items()
                 out.append([{(e + s) % n: c * x for e, x in r.items()} for r in b[k]])
                 continue
-            acc = [{} for _ in b[0]]
-            for k, left in terms:
-                if len(left) == 1 and 1 in left.values():
-                    s = next(iter(left))
+            if all(len(d) == 1 for _, d in terms):
+                # monomials only (S, S^-1): shifts cost less than packing
+                acc = [{} for _ in b[0]]
+                for k, left in terms:
+                    ((s, a),) = left.items()
                     for dest, right in zip(acc, b[k]):
                         if right:
-                            _add_shifted(dest, right, s, n)
-                    continue
-                for dest, right in zip(acc, b[k]):
-                    for e, c in left.items():
-                        for e2, c2 in right.items():
-                            j = (e + e2) % n
-                            v = dest.get(j, 0) + c * c2
-                            if v:
-                                dest[j] = v
-                            else:
-                                dest.pop(j, None)
-            out.append([canonical_exponent_dict(n, d) for d in acc])
+                            _add_shifted(dest, right, s, a, n)
+                out.append([canonical_exponent_dict(n, d) for d in acc])
+                continue
+            if packed is None:
+                bound = max(sum(sum(map(abs, d.values())) for d in r) for r in self._raw)
+                bound *= max(sum(map(abs, d.values())) for r in b for d in r)
+                w = bound.bit_length() + 2
+                packed = [[_pack(d, w, n) for d in r] for r in b]
+                mask, half, top = (1 << w) - 1, 1 << (w - 1), (1 << (w * n)) - 1
+                offset = half * (top // mask)  # half in every digit
+            sums = [0] * len(b[0])
+            for k, left in terms:
+                pl = _pack(left, w, n)
+                sums = [y + pl * x for y, x in zip(sums, packed[k])]
+            reduced = []
+            for x in sums:
+                digits = {}
+                if x:
+                    x = (x + offset) % top
+                    for e in range(n):
+                        c = (x & mask) - half
+                        if c:
+                            digits[e] = c
+                        x >>= w
+                reduced.append(canonical_exponent_dict(n, digits))
+            out.append(reduced)
         return WeilMatrix(self.df, out, self._s_power + other._s_power, self.dual)
 
     def conjugate(self) -> "WeilMatrix":

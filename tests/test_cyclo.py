@@ -129,6 +129,19 @@ def test_canonical_exponent_dict_reduces_high_powers():
         assert all(j < 4 for j in d)
 
 
+def test_canonical_exponent_dict_matches_sympy_remainder():
+    # zeta^e = zeta^(e + 3n), so the oracle takes the remainder of a
+    # polynomial with non-negative exponents modulo Phi_n
+    x = sympy.symbols("x")
+    rng = random.Random(120)
+    for n in range(1, 121):
+        d = {rng.randrange(-3 * n, 3 * n): rng.randrange(-9, 10) for _ in range(8)}
+        poly = sympy.Poly.from_dict({(e + 3 * n,): c for e, c in d.items()}, x)
+        rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
+        want = {j: int(c) for (j,), c in rem.terms() if c}
+        assert canonical_exponent_dict(n, d) == want, n
+
+
 def test_vanishing_sum_of_all_roots():
     for n in (3, 4, 5, 8, 12):
         total = sum((root_of_unity(j, n) for j in range(n)),

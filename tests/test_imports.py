@@ -77,6 +77,7 @@ def test_exact_commands_do_not_load_mpmath(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["after_package"] == []
     assert not NUMERIC & set(got["after_cli"]), got["after_cli"]
+    assert not {"weilforms.cyclo", "weilforms.arith"} & set(got["after_cli"]), got["after_cli"]
     assert "mpmath" not in got["after_exact"], got["after_exact"]
     assert got["codes"] == {name: 0 for name in got["codes"]}
     assert "mpmath" in got["after_eval"]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from weilforms.arith import inverse_mod, kronecker
-from weilforms.cyclo import CyclotomicNumber, root_of_unity, sqrt_nat
+from weilforms.cyclo import CyclotomicNumber, canonical_exponent_dict, root_of_unity, sqrt_nat
 from weilforms.discform import DiscriminantForm
 from weilforms.metaplectic import MP_S, MP_T, MP_Z, mp_mul, mp_pow, mp_tilde, parse_word
 from weilforms.weilrep import (
@@ -376,3 +376,75 @@ def test_shapes_must_match():
         e_0 @ S
     with pytest.raises(ValueError, match="inner sizes"):
         S @ WeilMatrix(df, [[{0: 1}]], 0)
+
+
+# -- the product kernel against a plain dict convolution ------------------
+
+
+def _convolve(left, right, n):
+    """The product of two raw tables by the definition, reduced entrywise."""
+    out = []
+    for row in left:
+        out_row = []
+        for j in range(len(right[0])):
+            acc = {}
+            for k, d in enumerate(row):
+                for e, c in d.items():
+                    for e2, c2 in right[k][j].items():
+                        acc[e + e2] = acc.get(e + e2, 0) + c * c2
+            out_row.append(canonical_exponent_dict(n, acc))
+        out.append(out_row)
+    return out
+
+
+def _random_table(rng, rows, cols, n, terms, lo=0, hi=1):
+    """Entries of fewer than `terms` terms with exponents in [lo n, hi n) and
+    coefficients +-1, small, or above 2^64.
+
+    Every table the package builds keeps its exponents in [0, n); a left
+    table may hold any exponents.
+    """
+    def coefficient():
+        c = rng.choice((1, 1, rng.randrange(2, 9), rng.randrange(2**64, 2**70)))
+        return c * rng.choice((1, -1))
+    return [
+        [{rng.randrange(lo * n, hi * n): coefficient() for _ in range(rng.randrange(terms))}
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _assert_product(df, left, right):
+    n = df.field_order
+    got = WeilMatrix(df, left, 1) @ WeilMatrix(df, right, 2)
+    assert got._s_power == 3
+    assert [[canonical_exponent_dict(n, d) for d in row] for row in got._raw] == \
+        _convolve(left, right, n)
+
+
+def test_matmul_matches_dict_convolution():
+    rng = random.Random(20100)
+    for m in (1, 3, 5, 30):  # N = 8, 24, 40, 120
+        df = DiscriminantForm(m)
+        n = df.field_order
+        square = min(2 * m, 10)
+        for rows, inner, cols in ((square, square, square), (3, 5, 2), (4, 6, 1), (1, 1, 1)):
+            # rows of monomials (some of one term) and rows of longer entries
+            for terms in (2, 2, 6, 6):
+                _assert_product(df, _random_table(rng, rows, inner, n, terms, -1, 2),
+                                _random_table(rng, inner, cols, n, 6))
+
+
+def test_matmul_coefficients_at_the_width_bound():
+    # every output coefficient is at most max_i sum_k |L_ik|_1 * max |R_kj|_1
+    # in absolute value; in the first row each one reaches it, with either
+    # sign, in the lowest and the highest digit and where the exponent folds
+    df = DiscriminantForm(5)
+    n = df.field_order
+    for a, c in ((3, 5), (2**64 + 1, 2**65 - 1), (-(2**70), 7)):
+        for e in (0, 1, n - 1):
+            left = [[{e: a, e + n: a}], [{e: a, n - 1: -a}]]
+            right = [[{0: c}, {1: -c}, {(n - e) % n: c}]]
+            _assert_product(df, left, right)
+            top = WeilMatrix(df, left, 0) @ WeilMatrix(df, right, 0)
+            assert max(abs(x) for d in top._raw[0] for x in d.values()) == 2 * abs(a * c)
