@@ -7,7 +7,7 @@ stay below a few thousand.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -32,18 +32,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +122,7 @@ def integer_matrix_rank(rows: list[list[int]]) -> int:
     prev = 1
     row = 0
     for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(row, nrows) if m[r][col]), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import isqrt
 from numbers import Rational
 
 from .discform import DiscriminantForm, square_classes
@@ -105,18 +106,19 @@ def inc_gamma(a, y, precision: int | None = None) -> mpf:
         yy = _to_mpf(y)
         if not yy > 0:
             raise ValueError("y must be positive")
+        e = exp(-yy)
         if a.denominator == 2:
             cur_a = Fraction(1, 2)
             cur = sqrt(pi) * erfc(sqrt(yy))
         else:
             cur_a = Fraction(1)
-            cur = exp(-yy)
+            cur = e
         while cur_a < a:
-            cur = _to_mpf(cur_a) * cur + yy ** _to_mpf(cur_a) * exp(-yy)
+            cur = _to_mpf(cur_a) * cur + yy ** _to_mpf(cur_a) * e
             cur_a += 1
         while cur_a > a:
             cur_a -= 1
-            cur = (cur - yy ** _to_mpf(cur_a) * exp(-yy)) / _to_mpf(cur_a)
+            cur = (cur - yy ** _to_mpf(cur_a) * e) / _to_mpf(cur_a)
     with mp.workprec(prec):
         return +cur
 
@@ -207,16 +209,13 @@ class VectorForm:
         self.weight_num = weight_num
         dim = df.size
         comps: dict[int, HarmonicExpansion] = {}
-        default_window = None
         for g, comp in components.items():
             if not isinstance(comp, HarmonicExpansion):
                 raise TypeError("components must be HarmonicExpansion instances")
             if comp.weight_num != weight_num:
                 raise ValueError("component weight disagrees with the form weight")
             comps[g % dim] = comp
-            default_window = default_window or comp.window
-        if default_window is None:
-            default_window = (0, 0)
+        default_window = next((c.window for c in comps.values()), (0, 0))
         for g in range(dim):
             if g not in comps:
                 comps[g] = HarmonicExpansion(weight_num, {}, {}, default_window)
@@ -288,11 +287,7 @@ def theta_expansion(n_max: int = 100) -> HarmonicExpansion:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    c: dict[int, int] = {}
-    x = 0
-    while x * x <= n_max:
-        c[x * x] = c.get(x * x, 0) + (1 if x == 0 else 2)
-        x += 1
+    c = {x * x: 1 if x == 0 else 2 for x in range(isqrt(n_max) + 1)}
     # the window extends symmetrically below zero: theta has no principal
     # part and no non-holomorphic part, and the container should say so
     return HarmonicExpansion(1, c, {}, window=(-n_max, n_max))

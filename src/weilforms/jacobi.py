@@ -9,12 +9,14 @@ with residue mu, every such form decomposes as
 
 and the h_mu assemble into a dual-type vector-valued expansion of weight
 k - 1/2; both directions of that bookkeeping are exact here.  The
-analytic layer provides truncated numeric evaluation with tail bounds,
-the exact heat-operator cancellation that makes theta_mu holomorphic
-input for the decomposition, and a finite-difference check of the
-reduced Casimir operator -2 Delta_{k-1/2} + ((tau-taubar)^2/4 pi i m)
-d_taubar d_z d_z, which annihilates phi exactly when the h_mu are
-harmonic.
+analytic layer evaluates with tail bounds: one kernel sums a class
+r = rc mod 2m by the theta recurrence (three exps per class, two
+products per term, at 2 log2(steps) + log2(exp argument) + 7 guard bits),
+and serves theta_mu and the direct sum of phi.  It also has the exact
+heat-operator cancellation that makes theta_mu holomorphic input for
+the decomposition, and a finite-difference check of the reduced Casimir
+operator -2 Delta_{k-1/2} + ((tau-taubar)^2/4 pi i m) d_taubar d_z d_z,
+which annihilates phi exactly when the h_mu are harmonic.
 """
 
 from __future__ import annotations
@@ -101,10 +103,6 @@ class JacobiForm:
             out[key] = v
         return out
 
-    def n_index(self, d: int, r: int) -> int:
-        """The q-exponent n = (r^2 - D)/4m of the representative (d, r)."""
-        return (r * r - d) // (4 * self.m)
-
     def is_zero(self) -> bool:
         return not self.c_plus and not self.c_minus
 
@@ -131,10 +129,17 @@ class JacobiForm:
 # -- theta series --------------------------------------------------------
 
 
-def _theta_tail(alpha: mpf, beta: mpf, radius: int) -> mpf:
-    """Bound 2 sum_{r > radius} e^(-alpha r^2 + beta r), or reject."""
-    from mpmath import exp
+def _theta_tail(m: int, t: mpc, zz: mpc, radius: int) -> mpf:
+    """Bound 2 sum_{r > radius} e^(-alpha r^2 + beta r), or reject.
 
+    alpha = pi Im(t)/2m and beta = 2 pi |Im(zz)| bound the decay of one
+    class q^(r^2/4m) zeta^r at (t, zz), up to its constant factor.
+    """
+    from mpmath import exp, pi
+
+    if not t.imag > 0:
+        raise ValueError("tau must lie in the upper half plane")
+    alpha, beta = pi * t.imag / (2 * m), 2 * pi * abs(zz.imag)
     edge = 2 * alpha * (radius + 1) - beta
     if not edge > 0:
         raise TruncationError("truncation radius too small for this point")
@@ -142,12 +147,47 @@ def _theta_tail(alpha: mpf, beta: mpf, radius: int) -> mpf:
     return 2 * exp(-alpha * (radius + 1) ** 2 + beta * (radius + 1)) / (1 - x)
 
 
-def _class_range(mu: int, step: int, radius: int):
-    """Integers r = mu mod step with |r| <= radius."""
-    r0 = mu % step
-    start = -((radius + r0) // step)
-    stop = (radius - r0) // step
-    return range(r0 + step * start, r0 + step * stop + 1, step)
+def _class_sum(m: int, d: int, rc: int, tau, z, radius: int):
+    """Sum of q^((r^2 - d)/4m) zeta^r over r = rc mod 2m, |r| <= radius.
+
+    q = e(tau), zeta = e(z).  From the r0 of smallest |r| the walk steps
+    outward: the term at r + 2m is the one at r times q^(r + m) zeta^(2m),
+    the one at r - 2m is it times q^(m - r) zeta^(-2m), and each ratio
+    gains s = q^(2m) per step.  Three exps (the start term and the first
+    ratios up, down), s = up down, then two products per term.
+    Guard bits: A = 16 (|r0^2 - d|/4m + 2m)(|tau| + |z|) exceeds 2.5 times
+    each exp argument, so with the argument's roundings each exp or product
+    at wp bits errs by a relative u = (A + 1) 2^(2 - wp) at most, s by 3u,
+    the ratio after i steps by (4i + 1) u and the term after j steps by
+    (2j^2 + 1) u (the error of s enters it j(j - 1)/2 times).  With J < 2^b
+    steps a side, 2J + 1 additions and A + 1 < 2^a, the sum errs by
+    5 J^2 u sum|terms| < 2^(2b + a + 5 - wp) sum|terms|: wp = prec + 2b + a
+    + 7 leaves 2^(-prec - 2) sum|terms| before the one rounding to prec.
+    """
+    from mpmath import exp, mp, mpc, pi
+
+    n2 = 2 * m
+    r0 = rc % n2 - (n2 if rc % n2 > m else 0)
+    if abs(r0) > radius:
+        return mpc(0)
+    ups, downs = (radius - r0) // n2, (radius + r0) // n2
+    size = abs(tau.real) + abs(tau.imag) + abs(z.real) + abs(z.imag)
+    a = int(16 * (abs(r0 * r0 - d) / (4 * m) + n2) * size) + 1
+    wp = mp.prec + 2 * max(ups, downs, 1).bit_length() + a.bit_length() + 7
+    with mp.workprec(wp):
+        w = 2j * pi
+        start = exp(w * ((r0 * r0 - d) * tau / (4 * m) + r0 * z))
+        up = exp(w * ((r0 + m) * tau + n2 * z))
+        down = exp(w * ((m - r0) * tau - n2 * z))
+        step = up * down
+        total = start
+        for ratio, count in ((up, ups), (down, downs)):
+            term = start
+            for _ in range(count):
+                term *= ratio
+                total += term
+                ratio *= step
+    return +total
 
 
 def theta_series_eval(m: int, mu: int, tau, z, truncation: int, *,
@@ -160,27 +200,17 @@ def theta_series_eval(m: int, mu: int, tau, z, truncation: int, *,
     radius is too small to control the zeta^r growth at this z (or when
     an explicit `accuracy` is given and the bound exceeds it).
     """
-    from mpmath import exp, mp, mpc, pi
+    from mpmath import mp, mpc
 
     prec = precision or default_precision()
     with mp.workprec(prec):
-        t = mpc(tau)
-        zz = mpc(z)
-        y = t.imag
-        if not y > 0:
-            raise ValueError("tau must lie in the upper half plane")
-        radius = int(truncation)
-        alpha = pi * y / (2 * m)
-        beta = 2 * pi * abs(zz.imag)
-        bound = _theta_tail(alpha, beta, radius)
+        t, zz, radius = mpc(tau), mpc(z), int(truncation)
+        bound = _theta_tail(m, t, zz, radius)
         if accuracy is not None and not bound <= accuracy:
             raise TruncationError(
                 f"theta tail bound {float(bound):.3g} exceeds accuracy {accuracy:.3g}"
             )
-        val = mpc(0)
-        for r in _class_range(mu, 2 * m, radius):
-            val += exp(2j * pi * (Fraction(r * r, 4 * m) * t + r * zz))
-        return val, bound
+        return _class_sum(m, 0, mu, t, zz, radius), bound
 
 
 def _theta_truncation_for(m: int, y: mpf, v: mpf, margin: float) -> int:
@@ -291,41 +321,29 @@ def jacobi_eval_direct(phi: JacobiForm, tau, z, truncation: int, *,
                        precision: int | None = None):
     """Evaluate phi at (tau, z) straight from its (n, r) Fourier terms.
 
-    Each stored class (D, r) is expanded over its representatives
-    |r'| <= truncation, r' = r mod 2m, with q-exponent (r'^2 - D)/4m and,
-    for c_minus classes, the constant factor Gamma(3/2 - k, pi D y / m).
-    Returns (value, tail bound).
+    Each stored class (D, r) sums over its representatives
+    |r'| <= truncation, r' = r mod 2m, with q-exponent (r'^2 - D)/4m
+    (one `_class_sum`) and, for c_minus classes, the constant factor
+    Gamma(3/2 - k, pi D y / m).  Returns (value, tail bound).
     """
     from mpmath import exp, mp, mpc, mpf, pi
 
     prec = precision or default_precision()
     m = phi.m
     with mp.workprec(prec):
-        t = mpc(tau)
-        zz = mpc(z)
+        t, zz, radius = mpc(tau), mpc(z), int(truncation)
+        class_tail = _theta_tail(m, t, zz, radius)
         y = t.imag
-        if not y > 0:
-            raise ValueError("tau must lie in the upper half plane")
-        radius = int(truncation)
-        alpha = pi * y / (2 * m)
-        beta = 2 * pi * abs(zz.imag)
-        class_tail = _theta_tail(alpha, beta, radius)
         a = Fraction(3, 2) - phi.k
         val = mpc(0)
         bound = mpf(0)
-        for (d, rc), v in sorted(phi.c_plus.items()):
-            vc = _to_mpc(v)
-            for r in _class_range(rc, 2 * m, radius):
-                n = (r * r - d) // (4 * m)
-                val += vc * exp(2j * pi * (n * t + r * zz))
+        classes = [(key, v, None) for key, v in sorted(phi.c_plus.items())]
+        classes += [(key, v, inc_gamma(a, pi * key[0] * y / m, prec))
+                    for key, v in sorted(phi.c_minus.items())]
+        for (d, rc), v, gam in classes:
+            vc = _to_mpc(v) if gam is None else _to_mpc(v) * gam
+            val += vc * _class_sum(m, d, rc, t, zz, radius)
             bound += abs(vc) * exp(pi * y * d / (2 * m)) * class_tail
-        for (d, rc), v in sorted(phi.c_minus.items()):
-            vc = _to_mpc(v)
-            gam = inc_gamma(a, pi * d * y / m, prec)
-            for r in _class_range(rc, 2 * m, radius):
-                n = (r * r - d) // (4 * m)
-                val += vc * gam * exp(2j * pi * (n * t + r * zz))
-            bound += abs(vc) * gam * exp(pi * y * d / (2 * m)) * class_tail
         return val, bound
 
 
@@ -365,8 +383,7 @@ def decomposition_consistency_check(phi: JacobiForm, points, *,
     comps = _numeric_components(phi)
     deviations, bounds, slack = [], [], []
     with mp.workprec(prec):
-        for p in points:
-            tau, z = p
+        for tau, z in points:
             direct, direct_bound = jacobi_eval_direct(phi, tau, z, truncation,
                                                       precision=prec)
             total = mpc(0)
@@ -393,17 +410,16 @@ def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
     Applies -2 Delta_{k-1/2} (in tau) plus ((tau - taubar)^2 / 4 pi i m)
     d_taubar d_z d_z to the evaluated form; `target` is a JacobiForm
     (evaluated through its theta decomposition) or a callable
-    (tau, z) -> value.  Harmonic decomposition components make the result
-    O(h^2); a non-harmonic component leaves a residual bounded away
-    from 0.
+    (tau, z) -> value.  A JacobiForm's components h_mu are evaluated once
+    per stencil tau and shared by the z stencil.  Harmonic decomposition
+    components make the result O(h^2); a non-harmonic component leaves a
+    residual bounded away from 0.
     """
     from mpmath import mp, mpc, mpf, pi
 
     prec = precision or default_precision()
     with mp.workprec(prec):
-        tau0 = mpc(point[0])
-        z0 = mpc(point[1])
-        hh = mpf(h)
+        tau0, z0, hh = mpc(point[0]), mpc(point[1]), mpf(h)
         if callable(target):
             phi_eval = target
         else:
@@ -411,16 +427,17 @@ def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
                 raise ValueError("weight/index disagree with the stored form")
             comps = _numeric_components(target)
             if theta_truncation is None:
-                margin = 0.7 * prec + 40
                 theta_truncation = _theta_truncation_for(
-                    m, tau0.imag - 2 * hh, abs(z0.imag) + 2 * hh, margin
-                )
+                    m, tau0.imag - 2 * hh, abs(z0.imag) + 2 * hh, 0.7 * prec + 40)
 
-            def phi_eval(t, zz, _comps=comps, _r=theta_truncation):
+            h_at: dict = {}  # the 2m components at each stencil tau, for this call
+
+            def phi_eval(t, zz, _r=theta_truncation):
+                if t not in h_at:
+                    h_at[t] = [eval_point(c, t, accuracy=component_accuracy,
+                                          precision=prec)[0] for c in comps.values()]
                 total = mpc(0)
-                for g in range(2 * m):
-                    hv, _ = eval_point(_comps[g], t, accuracy=component_accuracy,
-                                       precision=prec)
+                for g, hv in enumerate(h_at[t]):
                     tv, _ = theta_series_eval(m, g, t, zz, _r, precision=prec)
                     total += hv * tv
                 return total

@@ -142,11 +142,14 @@ class WeilMatrix:
         for row in self._raw:
             terms = [(k, d) for k, d in enumerate(row) if d]
             if len(terms) == 1 and len(terms[0][1]) == 1:
-                # one term (T, Z, S S): a shifted, scaled copy of one right row
+                # one term (T, Z, S S): a shifted, scaled copy of one right row,
+                # unless two exponents of an entry meet mod n (summed below)
                 k, d = terms[0]
                 ((s, c),) = d.items()
-                out.append([{(e + s) % n: c * x for e, x in r.items()} for r in b[k]])
-                continue
+                copy = [{(e + s) % n: c * x for e, x in r.items()} for r in b[k]]
+                if list(map(len, copy)) == list(map(len, b[k])):
+                    out.append(copy)
+                    continue
             if all(len(d) == 1 for _, d in terms):
                 # monomials only (S, S^-1): shifts cost less than packing
                 acc = [{} for _ in b[0]]

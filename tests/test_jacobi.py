@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 from mpmath import exp, jtheta, mp, mpc, mpf, pi
 
+from weilforms import jacobi
 from weilforms.expansions import TruncationError, eval_point, inc_gamma, plus_space_check
 from weilforms.isomap import split_to_vector
 from weilforms.jacobi import (
     JacobiForm,
+    _class_sum,
+    _numeric_components,
     casimir_reduced_fd,
     decomposition_consistency_check,
     heat_operator_term_check,
@@ -81,6 +84,39 @@ def test_theta_reflection():
         a, _ = theta_series_eval(3, mu, tau, z, 40)
         b, _ = theta_series_eval(3, -mu, tau, -z, 40)
         assert abs(a - b) < mpf(2) ** -100, mu
+
+
+def _termwise(m, d, rc, tau, z, radius):
+    """The class sum term by term, one exp each, and the sum of |terms|."""
+    terms = [exp(2j * pi * (mpf(r * r - d) / (4 * m) * tau + r * z))
+             for r in range(-radius, radius + 1) if (r - rc) % (2 * m) == 0]
+    return sum(terms, mpc(0)), sum((abs(t) for t in terms), mpf(0))
+
+
+def test_class_sum_matches_termwise_exp():
+    # every residue of m in {1, 2, 3, 5, 7}, D = 0 (theta), D < 0 and D > 0
+    # (the c_minus classes), Im z of both signs and zero, and radii from an
+    # empty class range to 200 steps of the walk at m = 1; the one rounding
+    # to prec alone may take 2^-prec |sum|, so the bound is tight where one
+    # term dominates
+    for prec in (128, 256):
+        with mp.workprec(prec):
+            points = [(mpc("0.31", "0.9"), mpc("0.12", "0.05")),
+                      (mpc("-0.43", "0.05"), mpc("0.27", "-0.35")),
+                      (mpc("0.5", "1.7"), mpc("-0.2", "0"))]
+        for m in (1, 2, 3, 5, 7):
+            for rc in range(2 * m):
+                r0 = min(rc, 2 * m - rc)
+                radii = {0, 1, 2 * m - 1, 60, 200} | ({r0 - 1} if r0 else set())
+                for j, d in enumerate((0, rc * rc - 4 * m * (m + 3), rc * rc + 20 * m)):
+                    tau, z = points[(rc + j) % 3]  # each (m, rc) meets every point
+                    for radius in sorted(radii):
+                        with mp.workprec(prec):
+                            got = _class_sum(m, d, rc, tau, z, radius)
+                        with mp.workprec(2 * prec):
+                            want, size = _termwise(m, d, rc, tau, z, radius)
+                            err = abs(got - want)
+                        assert err <= mpf(2) ** -prec * size, (prec, m, rc, d, z, radius)
 
 
 def test_theta_tail_bound_is_honest():
@@ -192,6 +228,37 @@ def test_casimir_quadratic_convergence():
     r1 = abs(casimir_reduced_fd(phi, 2, 1, pt, 1e-2))
     r2 = abs(casimir_reduced_fd(phi, 2, 1, pt, 5e-3))
     assert 3.0 < r1 / r2 < 5.0
+
+
+def test_casimir_reuses_component_values(monkeypatch):
+    # the JacobiForm route evaluates the 2m components once per stencil tau
+    # (5 of them) and must agree with a callable that re-evaluates
+    # sum_mu h_mu theta_mu at each of the 17 stencil points
+    prec, radius = 128, 30
+    pt = (mpc("0.13", "1.05"), mpc("0.06", "0.02"))
+    rng = random.Random(4)
+    for m in (1, 2, 3):
+        phi = random_jacobi_form(2, m, rng)
+        comps = _numeric_components(phi)
+
+        def summed(t, z):
+            return sum((eval_point(c, t, accuracy=1e-20, precision=prec)[0]
+                        * theta_series_eval(m, g, t, z, radius, precision=prec)[0]
+                        for g, c in comps.items()), mpc(0))
+
+        calls = []
+        counted = jacobi.eval_point
+        monkeypatch.setattr(jacobi, "eval_point",
+                            lambda *a, **kw: calls.append(a) or counted(*a, **kw))
+        got = casimir_reduced_fd(phi, 2, m, pt, 1e-3, theta_truncation=radius,
+                                 precision=prec)
+        assert len(calls) == 5 * 2 * m
+        want = casimir_reduced_fd(summed, 2, m, pt, 1e-3, precision=prec)
+        assert abs(got - want) <= mpf(2) ** (12 - prec) * abs(want), m
+        monkeypatch.undo()
+    flagged = casimir_reduced_fd(lambda t, z: mpc(t).imag ** 3, 2, 1, pt, 1e-3,
+                                 precision=prec)
+    assert abs(flagged) > 1e-2
 
 
 def test_casimir_flags_non_harmonic():

@@ -401,8 +401,8 @@ def _random_table(rng, rows, cols, n, terms, lo=0, hi=1):
     """Entries of fewer than `terms` terms with exponents in [lo n, hi n) and
     coefficients +-1, small, or above 2^64.
 
-    Every table the package builds keeps its exponents in [0, n); a left
-    table may hold any exponents.
+    Every table the package builds keeps its exponents in [0, n), but a
+    WeilMatrix accepts any: exponents congruent mod n in one entry add up.
     """
     def coefficient():
         c = rng.choice((1, 1, rng.randrange(2, 9), rng.randrange(2**64, 2**70)))
@@ -429,10 +429,11 @@ def test_matmul_matches_dict_convolution():
         n = df.field_order
         square = min(2 * m, 10)
         for rows, inner, cols in ((square, square, square), (3, 5, 2), (4, 6, 1), (1, 1, 1)):
-            # rows of monomials (some of one term) and rows of longer entries
+            # rows of monomials (some of one term) and rows of longer entries;
+            # exponents on both sides in [-n, 2n), so some meet mod n
             for terms in (2, 2, 6, 6):
                 _assert_product(df, _random_table(rng, rows, inner, n, terms, -1, 2),
-                                _random_table(rng, inner, cols, n, 6))
+                                _random_table(rng, inner, cols, n, 6, -1, 2))
 
 
 def test_matmul_coefficients_at_the_width_bound():
