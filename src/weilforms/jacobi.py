@@ -411,7 +411,9 @@ def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
     d_taubar d_z d_z to the evaluated form; `target` is a JacobiForm
     (evaluated through its theta decomposition) or a callable
     (tau, z) -> value.  A JacobiForm's components h_mu are evaluated once
-    per stencil tau and shared by the z stencil.  Harmonic decomposition
+    per stencil tau and shared by the z stencil; the theta tail is checked
+    once, at the stencil point of least Im tau, and each theta class is
+    summed by _class_sum with no tail of its own.  Harmonic decomposition
     components make the result O(h^2); a non-harmonic component leaves a
     residual bounded away from 0.
     """
@@ -429,17 +431,20 @@ def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
             if theta_truncation is None:
                 theta_truncation = _theta_truncation_for(
                     m, tau0.imag - 2 * hh, abs(z0.imag) + 2 * hh, 0.7 * prec + 40)
+            radius = int(theta_truncation)
+            # the z stencil moves along the real axis, so the theta tail is
+            # worst at the least Im tau: one check there covers all 17 points
+            _theta_tail(m, tau0 - 1j * hh, z0, radius)
 
             h_at: dict = {}  # the 2m components at each stencil tau, for this call
 
-            def phi_eval(t, zz, _r=theta_truncation):
+            def phi_eval(t, zz):
                 if t not in h_at:
                     h_at[t] = [eval_point(c, t, accuracy=component_accuracy,
                                           precision=prec)[0] for c in comps.values()]
                 total = mpc(0)
                 for g, hv in enumerate(h_at[t]):
-                    tv, _ = theta_series_eval(m, g, t, zz, _r, precision=prec)
-                    total += hv * tv
+                    total += hv * _class_sum(m, 0, g, t, zz, radius)
                 return total
 
         lap = laplacian_fd(lambda t: phi_eval(t, z0), k - 1, tau0, h,

@@ -5,12 +5,17 @@ Generator action on the standard basis (e_gamma), with sigma = b+ - b-:
     rho(T) e_gamma = e(Q(gamma)) e_gamma
     rho(S) e_gamma = (e(-sigma/8)/sqrt(2m)) sum_delta e(-(gamma,delta)) e_delta
 
-Each generator is defined once, as a matrix (rho_T, rho_S, rho_Z), and
-arbitrary elements are evaluated by multiplying those matrices along a word
-from mp_decompose.  The center acts by the signed permutation
-rho(Z) e_gamma = e(-sigma/4) e_{-gamma}, which is rho(S)^2 without the dense
-products.  The dual representation conjugates every entry after evaluation
-on the same word.
+Each generator is defined once, as a matrix (rho_T, rho_S, rho_Z), and a
+word is evaluated by multiplying those matrices along it (_apply_word).
+The center acts by the signed permutation rho(Z) e_gamma =
+e(-sigma/4) e_{-gamma}, which is rho(S)^2 without the dense products.
+An arbitrary element g~ is evaluated as K~ M~_1: M_1 is a coset
+representative of Gamma_0(4m) in SL2(Z) whose word holds at most two S
+factors, and K = g M_1^-1 lies in Gamma_0(4m), where rho is the monomial
+matrix of rho_gamma0.  So the cost does not grow with the entries of g.
+A form whose signature is inconsistent with Q (a negative control) has
+no such closed form and is evaluated along the word from mp_decompose.
+The dual representation conjugates every entry after evaluation.
 
 Matrices are stored in a scaled-integer form: entries are formal integer
 combinations of powers of zeta_N (N = lcm(8, 4m)) with a global prefactor
@@ -33,11 +38,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .arith import kronecker
 from .cyclo import CyclotomicNumber, canonical_exponent_dict, root_of_unity, sqrt_nat
 from .discform import DiscriminantForm
-from .metaplectic import MpElement, Word, mp_decompose, mp_tilde
+from .metaplectic import MpElement, Word, mp_decompose, mp_mul, mp_tilde
 
 __all__ = [
     "WeilMatrix",
@@ -45,6 +51,7 @@ __all__ = [
     "rho_S",
     "rho_Z",
     "rho_eval",
+    "rho_gamma0",
     "shintani_unipotent",
     "borcherds_eigencheck",
 ]
@@ -334,9 +341,69 @@ def _apply_word(df: DiscriminantForm, word: Word, mat=None) -> WeilMatrix:
     return mat
 
 
+def rho_gamma0(df: DiscriminantForm, k: MpElement) -> WeilMatrix:
+    """rho(K~) for K = (a b; c d) in Gamma_0(4m): a monomial matrix.
+
+        rho(K~) e_gamma = chi(K~) e(bd Q(gamma)) e_{d gamma},
+        chi(K~) = eps ((c/m)/d) eps_d^-1
+
+    with eps the sign of the branch of K~ and eps_d = 1 or i for d = 1 or 3
+    mod 4 (the monomial shape is Borcherds', Reflection groups of
+    Lorentzian lattices).  The character comes from the component
+    theta_0(tau) = theta(m tau) of the theta series of (Z, m x^2):
+    (a, mb; c/m, d) lies in Gamma_0(4), where theta has Shimura's
+    multiplier (c'/d) eps_d^-1 with (c'/d) = -(c'/|d|) for c', d < 0, as
+    arith.kronecker computes it.  It holds for sigma = 1 mod 8 only, where
+    the generators are those of sigma = 1.
+    """
+    a, b, c, d = k.matrix
+    if c % df.level:
+        raise ValueError("element must lie in Gamma_0(4m)")
+    if not df.signature_consistent():
+        raise ValueError("the closed form needs sigma = 1 mod 8")
+    n, dim = df.field_order, df.size
+    quarter = (0 if d % 4 == 1 else 3) + (0 if k.eps * kronecker(c // df.m, d) == 1 else 2)
+    phase, v, bd = quarter * (n // 4), n // df.level, b * d % df.level
+    raw = [[{} for _ in range(dim)] for _ in range(dim)]
+    for delta, row in enumerate(raw):  # delta = d gamma, gamma = a delta
+        g = a * delta % dim
+        row[g] = {(phase + bd * g * g * v) % n: 1}
+    return WeilMatrix(df, raw, 0)
+
+
+def _coset_word(level: int, c: int, d: int) -> Word:
+    """A word M_1 with (c, d) M_1^-1 = (0, *) mod level, with fewest S-factors.
+
+    The empty word for c = 0, S T^j with j = d/c for a unit c, and otherwise
+    S T^j S T^k, whose bottom row is (j, jk - 1): k makes u = d - kc a unit
+    (gcd(c, d) = 1, so k avoids one residue per prime of level not dividing
+    c) and j = -c/u.
+    """
+    c, d = c % level, d % level
+    if c == 0:
+        runs = ()
+    elif gcd(c, level) == 1:
+        runs = (("S", 1), ("T", d * pow(c, -1, level) % level))
+    else:
+        k = next(k for k in range(level) if gcd(d - k * c, level) == 1)
+        runs = (("S", 1), ("T", -c * pow(d - k * c, -1, level) % level), ("S", 1), ("T", k))
+    return Word(tuple(run for run in runs if run[1]))
+
+
 def rho_eval(df: DiscriminantForm, g: MpElement, dual: bool = False) -> WeilMatrix:
-    """rho_L(g) (or its dual) as an exact matrix, via mp_decompose(g)."""
-    out = _apply_word(df, mp_decompose(g))
+    """rho_L(g) (or its dual) as an exact matrix.
+
+    g~ = K~ M~_1 with M_1 from _coset_word and K~ = g~ M~_1^-1 in the lift
+    of Gamma_0(4m), so rho(g~) = rho_gamma0(K~) rho(M~_1): a word of at most
+    two S-factors and one monomial product, whatever the size of g.  A form
+    with sigma != 1 mod 8 is evaluated along mp_decompose(g).
+    """
+    if df.signature_consistent():
+        word = _coset_word(df.level, g.c, g.d)
+        k = mp_mul(g, word.to_element().inv())
+        out = rho_gamma0(df, k) @ _apply_word(df, word)
+    else:
+        out = _apply_word(df, mp_decompose(g))
     return out.conjugate() if dual else out
 
 

@@ -59,22 +59,36 @@ print(json.dumps({"after_package": after_package, "after_cli": after_cli,
                   "codes": codes, "mismatched": mismatched}))
 """
 
+RHO = r"""
+import json, sys
+import weilforms.cli
+
+code = weilforms.cli.main(["rho", "--m", "6", "--word", sys.argv[2], "--json", sys.argv[1]])
+print(json.dumps({"code": code, "loaded": sorted(
+    n for n in sys.modules if n == "mpmath" or n.startswith("weilforms."))}))
+"""
+
 NUMERIC = {"mpmath", "weilforms.expansions", "weilforms.isomap", "weilforms.jacobi",
            "weilforms.weilrep", "weilforms.metaplectic"}
+
+
+def _fresh(script, *args):
+    """Run `script` in a fresh interpreter and read its last line as JSON."""
+    src = Path(weilforms.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_exact_commands_do_not_load_mpmath(tmp_path):
     (tmp_path / "f.json").write_text(dumps(scalar_to_json(theta_expansion(60), 1, 0)))
     phi = random_jacobi_form(2, 3, random.Random(7))
     (tmp_path / "phi.json").write_text(dumps(jacobi_to_json(phi)))
-    src = Path(weilforms.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    got = _fresh(SCRIPT, tmp_path)
     assert got["after_package"] == []
     assert not NUMERIC & set(got["after_cli"]), got["after_cli"]
     assert not {"weilforms.cyclo", "weilforms.arith"} & set(got["after_cli"]), got["after_cli"]
@@ -84,3 +98,14 @@ def test_exact_commands_do_not_load_mpmath(tmp_path):
     assert got["mismatched"] == []
     assert len(weilforms.__all__) == len(set(weilforms.__all__)) == 55
     assert (tmp_path / "phi2.json").read_bytes() == (tmp_path / "phi.json").read_bytes()
+
+
+def test_rho_loads_only_the_exact_layers_and_the_embedding(tmp_path):
+    # the closed form on Gamma_0(4m) pulls in neither isomap nor jacobi; the
+    # words reach each coset kind at m = 6 (bottom rows c = 0, 1 and -3 mod 24)
+    want = ["mpmath", "weilforms.arith", "weilforms.cli", "weilforms.containers",
+            "weilforms.cyclo", "weilforms.discform", "weilforms.expansions",
+            "weilforms.metaplectic", "weilforms.weilrep"]
+    for word in ("T Z", "S T T", "T T T S T T T S'"):
+        got = _fresh(RHO, tmp_path / "rho.json", word)
+        assert got == {"code": 0, "loaded": want}, word

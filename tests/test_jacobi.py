@@ -261,6 +261,22 @@ def test_casimir_reuses_component_values(monkeypatch):
     assert abs(flagged) > 1e-2
 
 
+def test_casimir_checks_theta_tail_once(monkeypatch):
+    # every stencil point shares Im z, so one tail check at the least Im tau
+    # decides; it still rejects a short radius and a stencil leaving the
+    # upper half plane
+    phi = JacobiForm(2, 1, {(1, 1): 1})
+    tails = []
+    tail = jacobi._theta_tail
+    monkeypatch.setattr(jacobi, "_theta_tail", lambda *a: tails.append(a[1]) or tail(*a))
+    casimir_reduced_fd(phi, 2, 1, (0.13 + 1.05j, 0.06 + 0.02j), 1e-3, precision=128)
+    assert len(tails) == 1 and abs(tails[0] - mpc(0.13, 1.049)) < 1e-12
+    with pytest.raises(TruncationError, match="radius"):
+        casimir_reduced_fd(phi, 2, 1, (0.1 + 0.05j, 0.2 + 0.4j), 1e-3, theta_truncation=3)
+    with pytest.raises(ValueError, match="upper half plane"):
+        casimir_reduced_fd(phi, 2, 1, (0.1 + 1e-3j, 0j), 1e-3, theta_truncation=30)
+
+
 def test_casimir_flags_non_harmonic():
     mp.prec = 128
     pt = (mpc("0.13", "1.05"), mpc("0.06", "0.02"))

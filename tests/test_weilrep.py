@@ -1,5 +1,6 @@
 """Exact Weil representation matrices: generators, relations, closed forms."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,15 +10,27 @@ import pytest
 from weilforms.arith import inverse_mod, kronecker
 from weilforms.cyclo import CyclotomicNumber, canonical_exponent_dict, root_of_unity, sqrt_nat
 from weilforms.discform import DiscriminantForm
-from weilforms.metaplectic import MP_S, MP_T, MP_Z, mp_mul, mp_pow, mp_tilde, parse_word
+from weilforms.metaplectic import (
+    MP_S,
+    MP_T,
+    MP_Z,
+    MpElement,
+    mp_decompose,
+    mp_mul,
+    mp_pow,
+    mp_tilde,
+    parse_word,
+)
 from weilforms.weilrep import (
     WeilMatrix,
+    _apply_word,
     borcherds_eigencheck,
     identity_matrix,
     rho_S,
     rho_T,
     rho_Z,
     rho_eval,
+    rho_gamma0,
     shintani_unipotent,
 )
 
@@ -97,16 +110,93 @@ def test_rho_eval_is_homomorphism_random():
         assert rho_eval(df, mp_mul(g, h)) == rho_eval(df, g) @ rho_eval(df, h)
 
 
-def test_rho_eval_300_digit_element_times_inverse():
+def _long_element(size):
+    """The first product of random T^n S factors (random.Random(32)) whose
+    largest entry reaches `size`."""
     rng = random.Random(32)
-    df = DiscriminantForm(2)
     g = mp_tilde((1, 0, 0, 1))
-    while max(abs(x) for x in g.matrix) < 10**299:
+    while max(abs(x) for x in g.matrix) < size:
         g = mp_mul(g, mp_mul(mp_tilde((1, rng.randrange(-60, 61), 0, 1)), MP_S))
+    return g
+
+
+def test_rho_eval_300_digit_element_times_inverse():
+    df = DiscriminantForm(2)
+    g = _long_element(10**299)
     start = time.perf_counter()
     product = rho_eval(df, g) @ rho_eval(df, g.inv())
     assert time.perf_counter() - start < 1.0
     assert product.is_identity()
+
+
+def _route_elements(m, rng, count):
+    """Fixed elements (generators, the center, c = 0 with d = +-1) and `count`
+    seeded ones, each with a random branch: level-4m matrices with either
+    sign of d, SL2(Z) matrices, and products of the two."""
+    fixed = [MP_S, MP_T, MP_S.inv(), MP_T.inv(), MP_Z, mp_pow(MP_Z, 2), mp_pow(MP_Z, 3),
+             mp_tilde((1, 0, 0, 1)), mp_tilde((-1, 5, 0, -1)), MpElement(-1, -3, 0, -1, -1)]
+    out = []
+    for i in range(count):
+        g = _random_gamma0(m, rng, negative_a=i % 4 == 1)
+        if i % 2:
+            g = tuple(-x for x in g)
+        if i % 3:
+            c = rng.randrange(1, 1000) * rng.choice((1, -1))
+            d = rng.randrange(-1000, 1000)
+            while math.gcd(c, d) != 1:
+                d += 1
+            a = pow(d, -1, abs(c)) if abs(c) > 1 else 0
+            s = (a, (a * d - 1) // c, c, d)
+            g = s if i % 3 == 1 else mp_mul(mp_tilde(s), mp_tilde(g)).matrix
+        out.append(MpElement(*g, rng.choice((1, -1))))
+    return fixed + out
+
+
+def test_rho_gamma0_matches_word_route():
+    # the closed form K~ M~_1 against the word from mp_decompose, on every
+    # kind of coset representative: c = 0, c a unit mod 4m, and c neither
+    rng = random.Random(12)
+    long = _long_element(10**299)
+    kinds = set()
+    counts = (30, 30, 25, 25, 20, 20, 15, 10, 8, 7, 5, 5)  # 200, fewer where words cost more
+    for m, count in enumerate(counts, 1):
+        df = DiscriminantForm(m)
+        elements = _route_elements(m, rng, count)
+        if m <= 7:
+            elements.append(long)
+        for g in elements:
+            c = g.c % (4 * m)
+            kinds.add("c = 0" if c == 0 else "unit" if math.gcd(c, 4 * m) == 1 else "other")
+            word = _apply_word(df, mp_decompose(g))
+            assert rho_eval(df, g) == word, (m, g)
+            assert rho_eval(df, g, dual=True) == word.conjugate(), (m, g)
+            if c == 0:
+                assert rho_gamma0(df, g) == word, (m, g)
+                if g.c and g.d < 0:
+                    kinds.add("level 4m, d < 0")
+    assert kinds == {"c = 0", "unit", "other", "level 4m, d < 0"}
+
+
+def test_rho_gamma0_rejects():
+    with pytest.raises(ValueError, match="Gamma_0"):
+        rho_gamma0(DiscriminantForm(2), MP_S)
+    with pytest.raises(ValueError, match="sigma"):
+        rho_gamma0(DiscriminantForm(3, (3, 0)), MP_T)
+
+
+def test_rho_eval_products_do_not_grow_with_entries(monkeypatch):
+    # a deterministic cost guard: count the products instead of timing them
+    calls = []
+    matmul = WeilMatrix.__matmul__
+    monkeypatch.setattr(WeilMatrix, "__matmul__",
+                        lambda self, other: calls.append(1) or matmul(self, other))
+    df = DiscriminantForm(50)
+    for size, runs in ((10**6, 8), (10**299, 430)):
+        calls.clear()
+        g = _long_element(size)
+        assert len(mp_decompose(g)) == runs  # products along the word route
+        rho_eval(df, g)
+        assert 1 <= len(calls) <= 5, (size, len(calls))
 
 
 def test_rho_eval_word_vs_generators():
