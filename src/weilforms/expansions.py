@@ -37,6 +37,7 @@ __all__ = [
     "random_plus_expansion",
     "eval_point",
     "laplacian_fd",
+    "fd_halving_check",
     "verify_S_transform",
     "SCheckReport",
 ]
@@ -441,6 +442,19 @@ def laplacian_fd(target, k: int, tau, h: float = 1e-3, *,
         fx = (fr - fl) / (2 * hh)
         fy = (fu - fd) / (2 * hh)
         return -(y**2) * lap + 1j * kappa * y * (fx + 1j * fy)
+
+
+def fd_halving_check(residual, h: float):
+    """Criterion 10 for a finite-difference residual h -> value.
+
+    A second-order stencil applied to a harmonic input leaves O(h^2), so
+    halving h divides |residual| by about 4; the check passes when the
+    ratio |residual(h)| / |residual(h/2)| lies in (3, 5).  Returns
+    (residual(h), residual(h/2), ratio or None when residual(h/2) = 0, passed).
+    """
+    r_h, r_half = residual(h), residual(h / 2)
+    ratio = abs(r_h) / abs(r_half) if r_half else None
+    return r_h, r_half, ratio, ratio is not None and 3 < ratio < 5
 
 
 class SCheckReport:

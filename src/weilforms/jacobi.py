@@ -10,11 +10,12 @@ with residue mu, every such form decomposes as
 and the h_mu assemble into a dual-type vector-valued expansion of weight
 k - 1/2; both directions of that bookkeeping are exact here.  The
 analytic layer evaluates with tail bounds: one kernel sums a class
-r = rc mod 2m by the theta recurrence (three exps per class, two
-products per term, at 2 log2(steps) + log2(exp argument) + 7 guard bits),
-and serves theta_mu and the direct sum of phi.  It also has the exact
-heat-operator cancellation that makes theta_mu holomorphic input for
-the decomposition, and a finite-difference check of the reduced Casimir
+r = rc mod 2m by the theta recurrence (three exps per class at
+2 log2(steps) + log2(exp argument) + 7 guard bits, then a block-floating
+walk on Python integers), and serves theta_mu and the direct sum of
+phi.  It also has the exact heat-operator cancellation that makes
+theta_mu holomorphic input for the decomposition, and a
+finite-difference check of the reduced Casimir
 operator -2 Delta_{k-1/2} + ((tau-taubar)^2/4 pi i m) d_taubar d_z d_z,
 which annihilates phi exactly when the h_mu are harmonic.
 """
@@ -147,24 +148,48 @@ def _theta_tail(m: int, t: mpc, zz: mpc, radius: int) -> mpf:
     return 2 * exp(-alpha * (radius + 1) ** 2 + beta * (radius + 1)) / (1 - x)
 
 
+def _top(x) -> int:
+    """The t with 2^t > max(|Re x|, |Im x|) >= 2^(t - 1), for x != 0."""
+    return max(p[2] + p[3] for p in x._mpc_ if p[1])
+
+
+def _fixed(x, e: int) -> tuple[int, int]:
+    """Re x and Im x in units of 2^e, each truncated by less than one unit."""
+    from mpmath.libmp import to_fixed
+
+    return to_fixed(x._mpc_[0], -e), to_fixed(x._mpc_[1], -e)
+
+
 def _class_sum(m: int, d: int, rc: int, tau, z, radius: int):
     """Sum of q^((r^2 - d)/4m) zeta^r over r = rc mod 2m, |r| <= radius.
 
     q = e(tau), zeta = e(z).  From the r0 of smallest |r| the walk steps
     outward: the term at r + 2m is the one at r times q^(r + m) zeta^(2m),
     the one at r - 2m is it times q^(m - r) zeta^(-2m), and each ratio
-    gains s = q^(2m) per step.  Three exps (the start term and the first
-    ratios up, down), s = up down, then two products per term.
+    gains s = q^(2m) per step.  Three exps at wp bits (the start term and
+    the first ratios up, down) and s = up down are the only mpmath work;
+    the walk runs on Python integers in block floating point: term and sum
+    are fixed point in units 2^(t - wp), 2^t the top bit of the start term
+    (`_top`), so additions are exact; the ratio and s each keep their own
+    exponent (|s| can be e^-75) and wp bits, and the ratio is renormalized
+    to its width after every step.  A ratio of 2^(wp - 2) or more keeps
+    more bits, so that its exponent, the term's shift, stays negative.
+    The sum converts back once, rounded to prec by `from_man_exp`.
     Guard bits: A = 16 (|r0^2 - d|/4m + 2m)(|tau| + |z|) exceeds 2.5 times
     each exp argument, so with the argument's roundings each exp or product
-    at wp bits errs by a relative u = (A + 1) 2^(2 - wp) at most, s by 3u,
-    the ratio after i steps by (4i + 1) u and the term after j steps by
-    (2j^2 + 1) u (the error of s enters it j(j - 1)/2 times).  With J < 2^b
-    steps a side, 2J + 1 additions and A + 1 < 2^a, the sum errs by
-    5 J^2 u sum|terms| < 2^(2b + a + 5 - wp) sum|terms|: wp = prec + 2b + a
-    + 7 leaves 2^(-prec - 2) sum|terms| before the one rounding to prec.
+    at wp bits errs by a relative u = (A + 1) 2^(2 - wp) at most, and each
+    truncation of a wp-bit mantissa by at most 2^(2 - wp) <= u.  Then s
+    errs by 4u, the ratio after i steps by (5i + 2) u and the term after j
+    steps by (3j^2 + 2) u relative (the error of s enters it j(j - 1)/2
+    times).  Truncating a term costs at most 2^(2 - wp) |start|: the terms
+    of one side rise while the ratio exceeds 1 and then fall, so in a
+    later term that truncation is at most 2^(2 - wp) max(|start|, |term|).
+    With J = max(steps a side, 1) < 2^b and A + 1 < 2^a the sum errs by
+    8 J^2 u sum|terms| < 2^(2b + a + 5 - wp) sum|terms|: wp = prec + 2b
+    + a + 7 leaves 2^(-prec - 2) sum|terms| before the one rounding to prec.
     """
     from mpmath import exp, mp, mpc, pi
+    from mpmath.libmp import from_man_exp
 
     n2 = 2 * m
     r0 = rc % n2 - (n2 if rc % n2 > m else 0)
@@ -173,21 +198,33 @@ def _class_sum(m: int, d: int, rc: int, tau, z, radius: int):
     ups, downs = (radius - r0) // n2, (radius + r0) // n2
     size = abs(tau.real) + abs(tau.imag) + abs(z.real) + abs(z.imag)
     a = int(16 * (abs(r0 * r0 - d) / (4 * m) + n2) * size) + 1
-    wp = mp.prec + 2 * max(ups, downs, 1).bit_length() + a.bit_length() + 7
+    prec = mp.prec
+    wp = prec + 2 * max(ups, downs, 1).bit_length() + a.bit_length() + 7
     with mp.workprec(wp):
         w = 2j * pi
         start = exp(w * ((r0 * r0 - d) * tau / (4 * m) + r0 * z))
         up = exp(w * ((r0 + m) * tau + n2 * z))
         down = exp(w * ((m - r0) * tau - n2 * z))
         step = up * down
-        total = start
+        e0, es = _top(start) - wp, _top(step) - wp
+        start_r, start_i = _fixed(start, e0)
+        step_r, step_i = _fixed(step, es)
+        total_r, total_i = start_r, start_i
         for ratio, count in ((up, ups), (down, downs)):
-            term = start
+            top = _top(ratio)
+            width = max(wp, top + 2)
+            er = top - width
+            rr, ri = _fixed(ratio, er)
+            tr, ti = start_r, start_i
             for _ in range(count):
-                term *= ratio
-                total += term
-                ratio *= step
-    return +total
+                tr, ti = (tr * rr - ti * ri) >> -er, (tr * ri + ti * rr) >> -er
+                total_r += tr
+                total_i += ti
+                nr, ni = rr * step_r - ri * step_i, rr * step_i + ri * step_r
+                k = (abs(nr) | abs(ni)).bit_length() - width
+                rr, ri, er = nr >> k, ni >> k, er + es + k
+    return mp.make_mpc((from_man_exp(total_r, e0, prec, "n"),
+                        from_man_exp(total_i, e0, prec, "n")))
 
 
 def theta_series_eval(m: int, mu: int, tau, z, truncation: int, *,

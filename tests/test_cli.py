@@ -258,6 +258,20 @@ def test_casimir_check_stored_jacobi(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_casimir_check_passes_on_quadratic_convergence(tmp_path, capsys):
+    # a principal part makes the O(h^2) stencil error large in absolute
+    # terms: |residual| is about 7.8e7 at h = 1e-3 yet falls 4x per halving
+    src, out = tmp_path / "phi.json", tmp_path / "report.json"
+    src.write_text(dumps(jacobi_to_json(random_jacobi_form(2, 3, random.Random(7)))))
+    assert run(["casimir-check", "--in", str(src), "--json", str(out)]) == 0
+    (check,) = _report(out)["checks"]
+    assert check["pass"] is True and check["deviation"] > 1e7 > check["tolerance"]
+    assert 3.99 < check["halving_ratio"] < 4.01
+    assert check["half_step_deviation"] == pytest.approx(
+        check["deviation"] / check["halving_ratio"], rel=1e-12)
+    capsys.readouterr()
+
+
 def test_check_S_stored_vector(tmp_path, capsys):
     src, vec = tmp_path / "theta.json", tmp_path / "vector.json"
     out = tmp_path / "report.json"

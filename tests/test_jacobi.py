@@ -7,7 +7,8 @@ import pytest
 from mpmath import exp, jtheta, mp, mpc, mpf, pi
 
 from weilforms import jacobi
-from weilforms.expansions import TruncationError, eval_point, inc_gamma, plus_space_check
+from weilforms.expansions import (TruncationError, eval_point, fd_halving_check, inc_gamma,
+                                  plus_space_check)
 from weilforms.isomap import split_to_vector
 from weilforms.jacobi import (
     JacobiForm,
@@ -93,12 +94,21 @@ def _termwise(m, d, rc, tau, z, radius):
     return sum(terms, mpc(0)), sum((abs(t) for t in terms), mpf(0))
 
 
+def _assert_class_sum_within(prec, m, d, rc, tau, z, radius):
+    # the one rounding to prec alone may take 2^-prec |sum|, so the bound
+    # is tight where one term dominates
+    with mp.workprec(prec):
+        got = _class_sum(m, d, rc, tau, z, radius)
+    with mp.workprec(2 * prec):
+        want, size = _termwise(m, d, rc, tau, z, radius)
+        err = abs(got - want)
+    assert err <= mpf(2) ** -prec * size, (prec, m, rc, d, tau, z, radius)
+
+
 def test_class_sum_matches_termwise_exp():
     # every residue of m in {1, 2, 3, 5, 7}, D = 0 (theta), D < 0 and D > 0
     # (the c_minus classes), Im z of both signs and zero, and radii from an
-    # empty class range to 200 steps of the walk at m = 1; the one rounding
-    # to prec alone may take 2^-prec |sum|, so the bound is tight where one
-    # term dominates
+    # empty class range to 200 steps of the walk at m = 1
     for prec in (128, 256):
         with mp.workprec(prec):
             points = [(mpc("0.31", "0.9"), mpc("0.12", "0.05")),
@@ -111,12 +121,51 @@ def test_class_sum_matches_termwise_exp():
                 for j, d in enumerate((0, rc * rc - 4 * m * (m + 3), rc * rc + 20 * m)):
                     tau, z = points[(rc + j) % 3]  # each (m, rc) meets every point
                     for radius in sorted(radii):
-                        with mp.workprec(prec):
-                            got = _class_sum(m, d, rc, tau, z, radius)
-                        with mp.workprec(2 * prec):
-                            want, size = _termwise(m, d, rc, tau, z, radius)
-                            err = abs(got - want)
-                        assert err <= mpf(2) ** -prec * size, (prec, m, rc, d, z, radius)
+                        _assert_class_sum_within(prec, m, d, rc, tau, z, radius)
+    # the walk's ratio and step keep their own binary exponents: at these
+    # points |s| = |q^2m| falls to e^-75 and the terms first rise by 2^40
+    # and more, and a step or ratio held in absolute units loses every bit;
+    # 512 bits, a large D > 0 and a walk of 300 steps a side at m = 1
+    for prec in (128, 256, 512):
+        with mp.workprec(prec):
+            points = [(mpc("0.2", "0.5"), mpc("0.1", "-0.6")),
+                      (mpc("0.1", "3"), mpc("0.4", "0.9"))]
+        for m, radius in ((1, 600), (2, 60), (3, 200)):
+            for rc, d in ((0, 0), (m, m * m + 400 * m)):
+                for tau, z in points:
+                    _assert_class_sum_within(prec, m, d, rc, tau, z, radius)
+
+
+def test_class_sum_mpmath_work_is_flat_in_radius(monkeypatch):
+    # the walk runs on integers: the mpmath complex products and sums of one
+    # class (the three exp arguments and s) do not grow with its terms
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__"):
+        method = getattr(mpc, name)
+        monkeypatch.setattr(mpc, name,
+                            lambda self, other, _f=method: calls.append(1) or _f(self, other))
+    tau, z = mpc("0.13", "1.05"), mpc("0.06", "0.02")
+    used = []
+    for radius in (60, 600):
+        calls.clear()
+        with mp.workprec(128):
+            _class_sum(1, 0, 0, tau, z, radius)
+        used.append(len(calls))
+    assert 0 < used[0] == used[1], used
+
+
+def test_direct_route_sums_each_stored_class(monkeypatch):
+    # criterion 11 compares the direct sum with sum_mu h_mu theta_mu; the
+    # direct route must sum every stored class once with its own D, never
+    # reuse the D = 0 theta sums of the decomposed route
+    phi = random_jacobi_form(2, 3, random.Random(11))
+    seen = []
+    kernel = jacobi._class_sum
+    monkeypatch.setattr(jacobi, "_class_sum",
+                        lambda m, d, rc, *a: seen.append((d, rc)) or kernel(m, d, rc, *a))
+    jacobi_eval_direct(phi, mpc("0.13", "1.1"), mpc("0.21", "0.05"), 40, precision=128)
+    assert sorted(seen) == sorted(list(phi.c_plus) + list(phi.c_minus))
+    assert any(d for d, _ in seen)
 
 
 def test_theta_tail_bound_is_honest():
@@ -282,6 +331,21 @@ def test_casimir_flags_non_harmonic():
     pt = (mpc("0.13", "1.05"), mpc("0.06", "0.02"))
     res = casimir_reduced_fd(lambda t, z: mpc(t).imag ** 3, 2, 1, pt, 1e-3)
     assert abs(res) > 1e-2
+
+
+def test_casimir_halving_rule():
+    # criterion 10: halving h divides a harmonic form's residual by about 4
+    # and leaves the non-harmonic probe's residual where it was
+    pt = (mpc("0.13", "1.05"), mpc("0.06", "0.02"))
+
+    def residual(target):
+        return lambda h: casimir_reduced_fd(target, 2, 1, pt, h, precision=160)
+
+    *_, ratio, passed = fd_halving_check(residual(JacobiForm(2, 1, {(1, 1): 1})), 1e-2)
+    assert passed and 3.9 < ratio < 4.1
+    *_, ratio, passed = fd_halving_check(residual(lambda t, z: mpc(t).imag ** 3), 1e-3)
+    assert not passed and abs(ratio - 1) < 1e-3
+    assert fd_halving_check(residual(JacobiForm(2, 1, {})), 1e-3)[2:] == (None, False)
 
 
 def test_thm2_roundtrip_corpus():
