@@ -310,13 +310,11 @@ def _cmd_gauss_check(args) -> int:
 
 
 def _cmd_b_entry(args) -> int:
-    from .isomap import b_entry_bruteforce, build_proof_matrices
+    from .isomap import b_entry_bruteforce, b_rows
 
     value = b_entry_bruteforce(args.m, args.beta, args.gamma)
-    pm = build_proof_matrices(args.m)
-    entry = pm.B[args.beta % (2 * args.m)][args.gamma % (2 * args.m)]
-    checks = [_check("product-equals-bruteforce", "exact",
-                     entry.as_rational() == value)]
+    entry = b_rows(args.m, [args.beta])[0][args.gamma % (2 * args.m)]
+    checks = [_check("product-equals-bruteforce", "exact", entry == value)]
     params = {"m": args.m, "beta": args.beta, "gamma": args.gamma}
     return _finish(args, "b-entry", params, checks, {"value": value})
 

@@ -28,6 +28,7 @@ __all__ = [
     "root_of_unity",
     "sqrt_nat",
     "canonical_exponent_dict",
+    "embed_with_roots",
 ]
 
 
@@ -313,32 +314,8 @@ class CyclotomicNumber:
     # -- numeric embedding ----------------------------------------------
 
     def embed_mpc(self, precision: int = 53) -> mpc:
-        """Numeric value at zeta_N = exp(2 pi i/N), certified to `precision` bits.
-
-        The working precision is raised until the accumulated roundoff
-        bound drops below 2^(-precision+4) relative to the result.
-        """
-        from mpmath import mp, mpc, mpf
-
-        if self.is_zero():
-            return mpc(0)
-        terms = [(j, c) for j, c in enumerate(self._coeffs) if c]
-        n = self._order
-        wp = precision + 12 + max(len(terms).bit_length(), 4)
-        while True:
-            with mp.workprec(wp):
-                total = mpc(0)
-                scale = mpf(0)
-                for j, c in terms:
-                    cf = mpf(c.numerator) / c.denominator
-                    total += cf * _unit_root_mpc(2 * j, n)
-                    scale += abs(cf)
-                err = scale * mpf(2) ** (-wp + 3) * (len(terms) + 2)
-                ok = abs(total) > 0 and err <= abs(total) * mpf(2) ** (-precision + 4)
-            if ok:
-                with mp.workprec(precision):
-                    return +total
-            wp *= 2
+        """Numeric value at zeta_N = exp(2 pi i/N), certified to `precision` bits."""
+        return embed_with_roots(self, precision, {})
 
     def embed(self, precision: int = 53) -> complex:
         """Value as a Python complex; certified internally, then rounded."""
@@ -382,6 +359,39 @@ def _coerce(x):
     if isinstance(x, Rational):
         return CyclotomicNumber.from_rational(x)
     return NotImplemented
+
+
+def embed_with_roots(x: CyclotomicNumber, precision: int, roots: dict) -> mpc:
+    """x at zeta_N, certified: the working precision wp is raised until the
+    roundoff bound drops below 2^(-precision+4) relative to the result.
+
+    `roots` maps (j, wp) to zeta_N^j for x's order N, filled on a miss, so
+    the entries of one matrix share it without changing any value.
+    """
+    from mpmath import mp, mpc, mpf
+
+    if x.is_zero():
+        return mpc(0)
+    terms = [(j, c) for j, c in enumerate(x._coeffs) if c]
+    n = x._order
+    wp = precision + 12 + max(len(terms).bit_length(), 4)
+    while True:
+        with mp.workprec(wp):
+            total = mpc(0)
+            scale = mpf(0)
+            for j, c in terms:
+                cf = mpf(c.numerator) / c.denominator
+                root = roots.get((j, wp))
+                if root is None:
+                    root = roots[j, wp] = _unit_root_mpc(2 * j, n)
+                total += cf * root
+                scale += abs(cf)
+            err = scale * mpf(2) ** (-wp + 3) * (len(terms) + 2)
+            ok = abs(total) > 0 and err <= abs(total) * mpf(2) ** (-precision + 4)
+        if ok:
+            with mp.workprec(precision):
+                return +total
+        wp *= 2
 
 
 def _unit_root_mpc(two_j: int, n: int) -> mpc:

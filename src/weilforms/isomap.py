@@ -41,6 +41,7 @@ __all__ = [
     "combine_to_scalar",
     "build_proof_matrices",
     "rank_lemma_check",
+    "b_rows",
     "b_entry_bruteforce",
     "gauss_sum_identity_check",
     "f_j_consistency_check",
@@ -196,16 +197,23 @@ def build_proof_matrices(m: int) -> ProofMatrices:
 
     n4 = 4 * m
     js, xa, xc = _character_tables(m)
-    df = DiscriminantForm(m)
     a = tuple(tuple(root_of_unity(e, n4) for e in row) for row in xa)
     c = tuple(tuple(root_of_unity(e, n4) for e in row) for row in xc)
-    r = tuple(tuple(row) for row in rho_S(df).entries())
-    b = []
-    for row in (_as_weil(df, xc) @ _as_weil(df, xa))._raw:
+    r = tuple(tuple(row) for row in rho_S(DiscriminantForm(m)).entries())
+    b = tuple(tuple(map(CyclotomicNumber.from_rational, row)) for row in b_rows(m, range(2 * m)))
+    return ProofMatrices(m, js, a, c, r, b)
+
+
+def b_rows(m: int, betas) -> list[list[int]]:
+    """The rows betas of B = CA as integers: those rows of C times A, and no R."""
+    _, xa, xc = _character_tables(m)
+    df = DiscriminantForm(m)
+    out = []
+    for row in (_as_weil(df, [xc[b % (2 * m)] for b in betas]) @ _as_weil(df, xa))._raw:
         if any(d.keys() - {0} for d in row):
             raise ArithmeticError("B entry failed to reduce to an integer")
-        b.append(tuple(CyclotomicNumber.from_rational(d.get(0, 0)) for d in row))
-    return ProofMatrices(m, js, a, c, r, tuple(b))
+        out.append([d.get(0, 0) for d in row])
+    return out
 
 
 def b_entry_bruteforce(m: int, beta: int, gamma: int) -> int:

@@ -423,13 +423,14 @@ def decomposition_consistency_check(phi: JacobiForm, points, *,
         for tau, z in points:
             direct, direct_bound = jacobi_eval_direct(phi, tau, z, truncation,
                                                       precision=prec)
+            t, zz, radius = mpc(tau), mpc(z), int(truncation)
+            tb = _theta_tail(m, t, zz, radius)  # one bound serves all 2m classes
             total = mpc(0)
             combined = direct_bound
             for g in range(2 * m):
                 hv, hb = eval_point(comps[g], tau, accuracy=float("inf"),
                                     precision=prec)
-                tv, tb = theta_series_eval(m, g, tau, z, truncation,
-                                           precision=prec)
+                tv = _class_sum(m, 0, g, t, zz, radius)
                 total += hv * tv
                 combined += abs(hv) * tb + abs(tv) * hb + hb * tb
             deviations.append(abs(direct - total))

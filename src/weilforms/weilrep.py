@@ -30,18 +30,21 @@ shifted right rows; every other row multiplies by Kronecker substitution,
 one Python integer per entry with one digit per power of zeta_N, so a sum
 of products is a few big-integer operations rather than a dict loop per
 pair of terms.  Equality compares the tables themselves once the
-prefactor powers are aligned; materialized entries are exact
-CyclotomicNumbers.
+prefactor powers are aligned.  Entries are materialized per matrix: the
+prefactor becomes integer coordinates over one denominator once, each
+table times it reduces on integers into one exact CyclotomicNumber, and
+embed shares one table of unit roots among all entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .arith import kronecker
-from .cyclo import CyclotomicNumber, canonical_exponent_dict, root_of_unity, sqrt_nat
+from .cyclo import (CyclotomicNumber, canonical_exponent_dict, embed_with_roots,
+                    root_of_unity, sqrt_nat)
 from .discform import DiscriminantForm
 from .metaplectic import MpElement, Word, mp_decompose, mp_mul, mp_tilde
 
@@ -114,14 +117,30 @@ class WeilMatrix:
         return self.entries()[i][j]
 
     def entries(self) -> list[list[CyclotomicNumber]]:
-        """Materialize all entries as exact cyclotomic numbers (cached)."""
+        """Materialize all entries as exact cyclotomic numbers (cached).
+
+        The prefactor is lifted to order N once, as integer coordinates P
+        over one denominator; each entry is its raw table times P on
+        integers, reduced once, with one Fraction per nonzero coordinate.
+        """
         if self._entries is None:
             n = self.order
             pref = _prefactor_power(self.df.m, self.df.signature_delta, self._s_power)
-            self._entries = [
-                [CyclotomicNumber.from_exponent_dict(n, d) * pref for d in row]
-                for row in self._raw
-            ]
+            coords = pref.lift(n).coefficients
+            den = lcm(*(c.denominator for c in coords))
+            p = {j: c.numerator * (den // c.denominator) for j, c in enumerate(coords) if c}
+            zero = Fraction(0)
+
+            def entry(d):
+                acc: dict[int, int] = {}
+                for e, c in d.items():
+                    _add_shifted(acc, p, e, c, n)
+                coeffs = [zero] * len(coords)
+                for j, c in canonical_exponent_dict(n, acc).items():
+                    coeffs[j] = Fraction(c, den)
+                return CyclotomicNumber(n, coeffs)
+
+            self._entries = [[entry(d) for d in row] for row in self._raw]
         return self._entries
 
     def __matmul__(self, other: "WeilMatrix") -> "WeilMatrix":
@@ -250,10 +269,14 @@ class WeilMatrix:
     __hash__ = None
 
     def embed(self, precision: int = 53) -> list[list[complex]]:
-        return [[x.embed(precision) for x in row] for row in self.entries()]
+        if precision < 53:
+            raise ValueError("precision below double precision is not supported")
+        return [[complex(v) for v in row] for row in self.embed_mpc(precision)]
 
     def embed_mpc(self, precision: int = 53):
-        return [[x.embed_mpc(precision) for x in row] for row in self.entries()]
+        """Entrywise embed_mpc, with one table of unit roots for the whole matrix."""
+        roots: dict = {}
+        return [[embed_with_roots(x, precision, roots) for x in row] for row in self.entries()]
 
     def to_json_dict(self) -> dict:
         return {

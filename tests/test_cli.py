@@ -8,7 +8,7 @@ import shlex
 import mpmath
 import pytest
 
-from weilforms import cli
+from weilforms import cli, isomap, weilrep
 from weilforms.containers import dumps, jacobi_to_json, loads, scalar_to_json
 from weilforms.discform import DiscriminantForm
 from weilforms.expansions import theta_expansion
@@ -132,6 +132,18 @@ def test_heat_and_gauss_commands(capsys):
     capsys.readouterr()
 
 
+def test_b_entry_multiplies_one_row(capsys, monkeypatch):
+    # b-entry needs row beta of B = CA only: it builds neither R nor all of B
+    def refuse(*args):
+        raise AssertionError("b-entry built a proof matrix")
+
+    monkeypatch.setattr(isomap, "build_proof_matrices", refuse)
+    monkeypatch.setattr(weilrep.WeilMatrix, "entries", refuse)
+    for beta, gamma in ((1, 2), (-1, 5), (0, 0), (9, 13)):
+        assert run(["b-entry", "--m", "7", "--beta", str(beta), "--gamma", str(gamma)]) == 0
+    capsys.readouterr()
+
+
 def test_proof_commands_reject_bad_index(capsys):
     for argv in (
         ["gauss-check", "--m", "0"],
@@ -159,6 +171,10 @@ REPORT_DIGESTS = {
     "rho --m 5 --word S --dual": "9a1e9ababe29ddf97b0ddeee9833a4b9e60e03804bae665fa441ce6931b5e63c",
     "rho --m 5 --word \"T' S' T T T Z S'\"": "b9b3769593fec3ba388f61a014dd5da01bc540f607db77f482710463bcfaf875",
     "rho --m 5 --word \"T' S' T T T Z S'\" --dual": "3898e8eb399fbe6b4e6f525ec2e1469bf5403452e8064e644ad2ca59733b35f4",
+    # sqrt(24) has multi-term coordinates; "S T S" has s_power 2
+    "rho --m 12 --word S": "b57ecf2d39ffe4062c33d04e2fd59e13827e423844f02ce31338da366c3ba712",
+    "rho --m 8 --word \"S T S\" --dual": "a97f1fc9bad8e4e3b2b4a641c3aa10381d686b1da490d22d4c6d630531ac8a01",
+    "b-entry --m 11 --beta 3 --gamma 8": "22ada2b41a0bd5fe72b315d16be8cbe2fcb19ab256797ce03141fa7bbaf31a77",
 }
 
 

@@ -18,6 +18,7 @@ from weilforms.isomap import (
     _as_weil,
     _character_tables,
     b_entry_bruteforce,
+    b_rows,
     build_proof_matrices,
     combine_to_scalar,
     coprime_residues,
@@ -181,6 +182,10 @@ def test_B_equals_bruteforce_character_sums():
         for b in range(2 * m):
             for g in range(2 * m):
                 assert mats.B[b][g].as_rational() == b_entry_bruteforce(m, b, g)
+        # b_rows multiplies only the rows it is asked for, beta taken mod 2m
+        betas = [2 * m - 1, 0, -1, 2 * m]
+        assert b_rows(m, betas) == [[int(x.as_rational()) for x in mats.B[b % (2 * m)]]
+                                    for b in betas]
 
 
 def test_rank_lemma_small_indices_match_prediction():

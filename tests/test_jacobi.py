@@ -258,6 +258,44 @@ def test_decomposition_consistency():
         assert rep.passed, rep
 
 
+def _consistency_per_component(phi, points, truncation, prec):
+    """Deviations and bounds with one theta_series_eval (and tail) per mu."""
+    comps = _numeric_components(phi)
+    deviations, bounds = [], []
+    with mp.workprec(prec):
+        for tau, z in points:
+            direct, combined = jacobi_eval_direct(phi, tau, z, truncation, precision=prec)
+            total = mpc(0)
+            for g in range(2 * phi.m):
+                hv, hb = eval_point(comps[g], tau, accuracy=float("inf"), precision=prec)
+                tv, tb = theta_series_eval(phi.m, g, tau, z, truncation, precision=prec)
+                total += hv * tv
+                combined += abs(hv) * tb + abs(tv) * hb + hb * tb
+            deviations.append(abs(direct - total))
+            bounds.append(combined)
+    return deviations, bounds
+
+
+def test_decomposition_check_bounds_theta_tail_once_per_point(monkeypatch):
+    # the tail depends on the point only: the direct route bounds it once
+    # and the decomposed route once for all 2m classes, not once per class
+    rng = random.Random(5150)
+    pts = [(mpc("0.13", "1.1"), mpc("0.21", "0.05")), (1j, mpf("0.4"))]
+    m, prec = 5, 128
+    phi = random_jacobi_form(2, m, rng)
+    tails = []
+    tail = jacobi._theta_tail
+    monkeypatch.setattr(jacobi, "_theta_tail", lambda *a: tails.append(a) or tail(*a))
+    rep = decomposition_consistency_check(phi, pts, precision=prec)
+    assert len(tails) == 2 * len(pts)
+    tails.clear()
+    deviations, bounds = _consistency_per_component(phi, pts, 60, prec)
+    assert len(tails) == (2 * m + 1) * len(pts)
+    assert rep.deviations == [float(d) for d in deviations]
+    assert rep.bounds == [float(b) for b in bounds]
+    assert rep.passed
+
+
 def test_casimir_annihilates_harmonic_terms():
     mp.prec = 128
     pt = (mpc("0.13", "1.05"), mpc("0.06", "0.02"))

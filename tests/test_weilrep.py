@@ -3,10 +3,13 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
+from weilforms import cyclo
 from weilforms.arith import inverse_mod, kronecker
 from weilforms.cyclo import CyclotomicNumber, canonical_exponent_dict, root_of_unity, sqrt_nat
 from weilforms.discform import DiscriminantForm
@@ -24,6 +27,7 @@ from weilforms.metaplectic import (
 from weilforms.weilrep import (
     WeilMatrix,
     _apply_word,
+    _prefactor_power,
     borcherds_eigencheck,
     identity_matrix,
     rho_S,
@@ -293,6 +297,75 @@ def test_matrix_json_shape():
     assert data["m"] == 1 and data["dual"] is False
     assert len(data["entries"]) == 2 and len(data["entries"][0]) == 2
     assert data["signature"] == [2, 1]
+
+
+# -- materialized entries and embeddings ----------------------------------
+
+
+def _entries_oracle(mat):
+    """Each raw entry reduced and then multiplied by the prefactor power."""
+    pref = _prefactor_power(mat.df.m, mat.df.signature_delta, mat._s_power)
+    return [[CyclotomicNumber.from_exponent_dict(mat.order, d) * pref for d in row]
+            for row in mat._raw]
+
+
+def test_entries_match_per_entry_prefactor_oracle():
+    rng = random.Random(17)
+    g = mp_mul(mp_mul(MP_S, mp_pow(MP_T, 3)), MP_S.inv())
+    for df in [DiscriminantForm(m) for m in range(1, 13)] + [DiscriminantForm(3, (3, 0))]:
+        n = df.field_order
+        table = _random_table(rng, 3, df.size, n, 5, -1, 2)
+        for s_power in range(5):
+            for dual in (False, True):
+                mat = WeilMatrix(df, table, s_power)
+                mat = mat.conjugate() if dual else mat
+                got = mat.entries()
+                assert got == _entries_oracle(mat), (df.m, s_power, dual)
+                assert all(x.order == n for row in got for x in row)
+        if df.m in (3, 7, 12):  # sqrt(2m) with one, two and four terms a coordinate
+            for mat in (rho_S(df), rho_eval(df, g, dual=True)):
+                want = _entries_oracle(mat)
+                assert mat.entries() == want, df.m
+                assert mat.to_json_dict()["entries"] == \
+                    [[x.to_json_dict() for x in row] for row in want]
+
+
+def test_embed_matches_entrywise_embed_mpc():
+    g = mp_mul(mp_mul(MP_S, mp_pow(MP_T, 3)), MP_S.inv())
+    for df in (DiscriminantForm(5), DiscriminantForm(6), DiscriminantForm(3, (3, 0))):
+        for mat in (rho_S(df), rho_eval(df, g, dual=True), rho_T(df)):
+            for precision in (53, 128, 256):
+                want = [[x.embed_mpc(precision)._mpc_ for x in row] for row in mat.entries()]
+                got = [[v._mpc_ for v in row] for row in mat.embed_mpc(precision)]
+                assert got == want, (df.m, precision)
+            assert mat.embed() == [[x.embed() for x in row] for row in mat.entries()]
+    with pytest.raises(ValueError, match="double precision"):
+        rho_S(DiscriminantForm(2)).embed(40)
+
+
+def test_rho_S_materializes_with_bounded_work(monkeypatch):
+    # rho(S) at m = 23 (N = 184, phi(N) = 88); entry by entry, entries()
+    # built 648,317 Fractions and embed(128) evaluated 52,544 unit roots
+    made = Counter()
+    new = vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made["fraction"] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    S = rho_S(DiscriminantForm(23))
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        S.entries()
+    finally:
+        Fraction.__new__ = new
+    assert 0 < made["fraction"] <= 260_000
+    roots = Counter()
+    unit_root = cyclo._unit_root_mpc
+    monkeypatch.setattr(cyclo, "_unit_root_mpc",
+                        lambda *a: roots.update([mp.prec]) or unit_root(*a))
+    S.embed(128)
+    assert roots and max(roots.values()) <= 88, roots
 
 
 def test_mixed_index_product_rejected():
