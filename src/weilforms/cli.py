@@ -65,6 +65,22 @@ def _check(name: str, mode: str, passed, **extra) -> dict:
     return rec
 
 
+def _numeric_check(name: str, run, *args) -> dict:
+    """The record of a numeric check: run(*args) returns a report (passed,
+    max_deviation, tolerance) or None for a plain pass, and a
+    TruncationError fails the check with its message."""
+    from .expansions import TruncationError
+
+    try:
+        rep = run(*args)
+    except TruncationError as e:
+        return _check(name, "numeric", False, detail=str(e))
+    if rep is None:
+        return _check(name, "numeric", True)
+    return _check(name, "numeric", rep.passed, deviation=rep.max_deviation,
+                  tolerance=rep.tolerance)
+
+
 def _complex_pair(v) -> list[float]:
     c = complex(v)
     return [c.real, c.imag]
@@ -182,9 +198,8 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .expansions import TruncationError, default_precision, eval_point
+    from .expansions import eval_point
 
-    prec = default_precision()
     points = _parse_points(args.points)
     if args.infile:
         kind, payload = containers.load_form(_read_container(args.infile))
@@ -194,34 +209,26 @@ def _cmd_eval(args) -> int:
         from .jacobi import jacobi_eval_direct
 
         z = _parse_complex(args.z) if args.z else 0j
-    checks = []
     values = []
-    for p in points:
-        name = f"eval@{p}"
-        try:
-            if kind == "jacobi":
-                val, bound = jacobi_eval_direct(payload, p, z, args.truncation,
-                                                precision=prec)
-                values.append({"point": str(p), "z": str(z),
-                               "value": _complex_pair(val),
-                               "bound": float(bound)})
-            elif kind == "vector":
-                vals, bound = eval_point(payload, p, accuracy=args.accuracy,
-                                         precision=prec)
-                values.append({
-                    "point": str(p),
-                    "value": {str(g): _complex_pair(v) for g, v in sorted(vals.items())},
-                    "bound": float(bound),
-                })
-            else:
-                f = payload[0]
-                val, bound = eval_point(f, p, accuracy=args.accuracy,
-                                        precision=prec)
-                values.append({"point": str(p), "value": _complex_pair(val),
-                               "bound": float(bound)})
-            checks.append(_check(name, "numeric", True))
-        except TruncationError as e:
-            checks.append(_check(name, "numeric", False, detail=str(e)))
+
+    def evaluate(p):
+        if kind == "jacobi":
+            val, bound = jacobi_eval_direct(payload, p, z, args.truncation)
+            values.append({"point": str(p), "z": str(z), "value": _complex_pair(val),
+                           "bound": float(bound)})
+        elif kind == "vector":
+            vals, bound = eval_point(payload, p, accuracy=args.accuracy)
+            values.append({
+                "point": str(p),
+                "value": {str(g): _complex_pair(v) for g, v in sorted(vals.items())},
+                "bound": float(bound),
+            })
+        else:
+            val, bound = eval_point(payload[0], p, accuracy=args.accuracy)
+            values.append({"point": str(p), "value": _complex_pair(val),
+                           "bound": float(bound)})
+
+    checks = [_numeric_check(f"eval@{p}", evaluate, p) for p in points]
     params = {"kind": kind, "points": args.points, "accuracy": args.accuracy}
     return _finish(args, "eval", params, checks, {"values": values})
 
@@ -242,41 +249,27 @@ def _cmd_check_T(args) -> int:
 
 
 def _cmd_check_S(args) -> int:
-    from .expansions import TruncationError, default_precision, verify_S_transform
+    from .expansions import verify_S_transform
     from .isomap import split_to_vector
 
-    prec = default_precision()
     points = _parse_points(args.points)
     if args.infile:
         F = containers.vector_from_json(_read_container(args.infile))
     else:
         f, m, k = _load_scalar(args)
         F = split_to_vector(f, m, k)
-    try:
-        rep = verify_S_transform(F, points, args.tol, precision=prec)
-        checks = [_check("S-transform", "numeric", rep.passed,
-                         deviation=rep.max_deviation, tolerance=rep.tolerance)]
-    except TruncationError as e:
-        checks = [_check("S-transform", "numeric", False, detail=str(e))]
+    checks = [_numeric_check("S-transform", verify_S_transform, F, points, args.tol)]
     params = {"m": F.df.m, "points": args.points, "tol": args.tol}
     return _finish(args, "check-S", params, checks)
 
 
 def _cmd_fj_check(args) -> int:
-    from .expansions import TruncationError, default_precision
     from .isomap import f_j_consistency_check
 
-    prec = default_precision()
     points = _parse_points(args.points)
     f, m, k = _load_scalar(args)
-    try:
-        rep = f_j_consistency_check(f, m, k, args.j, points, args.tol,
-                                    precision=prec)
-        checks = [_check(f"fj-transform(j={args.j})", "numeric", rep.passed,
-                         deviation=rep.max_deviation, tolerance=rep.tolerance)]
-    except TruncationError as e:
-        checks = [_check(f"fj-transform(j={args.j})", "numeric", False,
-                         detail=str(e))]
+    checks = [_numeric_check(f"fj-transform(j={args.j})", f_j_consistency_check,
+                             f, m, k, args.j, points, args.tol)]
     params = {"m": m, "k": k, "j": args.j, "points": args.points, "tol": args.tol}
     return _finish(args, "fj-check", params, checks)
 
@@ -375,17 +368,16 @@ def _cmd_heat_check(args) -> int:
 
 
 def _cmd_casimir_check(args) -> int:
-    from .expansions import default_precision, fd_halving_check
+    from .expansions import fd_halving_check
     from .jacobi import casimir_reduced_fd
 
-    prec = default_precision()
     phi = containers.jacobi_from_json(_read_container(args.infile))
     tau = _parse_complex(args.tau)
     z = _parse_complex(args.z)
     # a principal part makes the O(h^2) stencil error large in absolute
     # terms, so a residual falling as h^2 passes whatever its size
     value, half, ratio, converges = fd_halving_check(
-        lambda h: casimir_reduced_fd(phi, phi.k, phi.m, (tau, z), h, precision=prec),
+        lambda h: casimir_reduced_fd(phi, phi.k, phi.m, (tau, z), h),
         args.h)
     dev = abs(complex(value))
     checks = [_check("reduced-casimir", "numeric", dev <= args.tol or converges,
@@ -402,14 +394,13 @@ def _cmd_casimir_check(args) -> int:
 def _cmd_selftest(args) -> int:
     import random
 
-    from .expansions import (TruncationError, default_precision, plus_space_check,
-                             random_plus_expansion, theta_expansion, verify_S_transform)
+    from .expansions import (plus_space_check, random_plus_expansion, theta_expansion,
+                             verify_S_transform)
     from .isomap import combine_to_scalar, gauss_sum_identity_check, split_to_vector
     from .jacobi import (heat_operator_term_check, random_jacobi_form, reconstruct,
                          theta_decompose, thm2_map)
     from .weilrep import borcherds_eigencheck, identity_matrix, rho_S, rho_T
 
-    prec = default_precision()
     rng = random.Random(args.seed)
     checks = []
 
@@ -479,12 +470,8 @@ def _cmd_selftest(args) -> int:
     checks.append(_check("thm2 composite (random)", "exact", ok))
 
     theta = split_to_vector(theta_expansion(400), 1, 0)
-    try:
-        rep = verify_S_transform(theta, [1j], 1e-8, precision=prec)
-        checks.append(_check("theta S-transform", "numeric", rep.passed,
-                             deviation=rep.max_deviation, tolerance=rep.tolerance))
-    except TruncationError as e:
-        checks.append(_check("theta S-transform", "numeric", False, detail=str(e)))
+    checks.append(_numeric_check("theta S-transform", verify_S_transform,
+                                 theta, [1j], 1e-8))
 
     return _finish(args, "selftest", {"seed": args.seed}, checks)
 
@@ -496,8 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--json", metavar="PATH",
                         help="write the report as JSON to PATH")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized corpora")
+
+    index = _Parser(add_help=False)
+    index.add_argument("--m", type=int, required=True)
+
+    infile = _Parser(add_help=False)
+    infile.add_argument("--in", dest="infile", metavar="FILE", required=True)
+
+    outfile = _Parser(add_help=False)
+    outfile.add_argument("--out", metavar="FILE")
 
     scalar_src = _Parser(add_help=False)
     scalar_src.add_argument("--in", dest="infile", metavar="FILE",
@@ -512,30 +506,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="weil", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    s = sub.add_parser("milgram", parents=[common],
+    s = sub.add_parser("milgram", parents=[common, index],
                        help="Gauss-Milgram sum against the signature")
-    s.add_argument("--m", type=int, required=True)
     s.add_argument("--signature", default="2,1", help="ambient signature b+,b-")
     s.set_defaults(func=_cmd_milgram)
 
-    s = sub.add_parser("rho", parents=[common],
+    s = sub.add_parser("rho", parents=[common, index],
                        help="evaluate a word in the metaplectic generators")
-    s.add_argument("--m", type=int, required=True)
     s.add_argument("--word", required=True, help="e.g. \"S T T S'\"")
     s.add_argument("--dual", action="store_true")
     s.set_defaults(func=_cmd_rho)
 
-    s = sub.add_parser("split", parents=[common, scalar_src],
+    s = sub.add_parser("split", parents=[common, scalar_src, outfile],
                        help="scalar plus-space form to vector components")
-    s.add_argument("--out", metavar="FILE")
     s.add_argument("--allow-composite", action="store_true")
     s.set_defaults(func=_cmd_split)
 
-    s = sub.add_parser("combine", parents=[common],
+    s = sub.add_parser("combine", parents=[common, infile, outfile],
                        help="vector components to the scalar form")
-    s.add_argument("--in", dest="infile", metavar="FILE", required=True)
     s.add_argument("--k", type=int, default=None)
-    s.add_argument("--out", metavar="FILE")
     s.set_defaults(func=_cmd_combine)
 
     s = sub.add_parser("eval", parents=[common, scalar_src],
@@ -550,9 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plus-space support condition")
     s.set_defaults(func=_cmd_check_plus)
 
-    s = sub.add_parser("check-T", parents=[common],
+    s = sub.add_parser("check-T", parents=[common, infile],
                        help="T-transformation support condition")
-    s.add_argument("--in", dest="infile", metavar="FILE", required=True)
     s.set_defaults(func=_cmd_check_T)
 
     s = sub.add_parser("check-S", parents=[common, scalar_src],
@@ -568,51 +556,40 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-8)
     s.set_defaults(func=_cmd_fj_check)
 
-    s = sub.add_parser("rank-lemma", parents=[common],
+    s = sub.add_parser("rank-lemma", parents=[common, index],
                        help="exact rank of the character-sum matrix B")
-    s.add_argument("--m", type=int, required=True)
     s.set_defaults(func=_cmd_rank_lemma)
 
-    s = sub.add_parser("gauss-check", parents=[common],
+    s = sub.add_parser("gauss-check", parents=[common, index],
                        help="closed form of the rows of A R")
-    s.add_argument("--m", type=int, required=True)
     s.set_defaults(func=_cmd_gauss_check)
 
-    s = sub.add_parser("b-entry", parents=[common],
+    s = sub.add_parser("b-entry", parents=[common, index],
                        help="one entry of B by brute force and by product")
-    s.add_argument("--m", type=int, required=True)
     s.add_argument("--beta", type=int, required=True)
     s.add_argument("--gamma", type=int, required=True)
     s.set_defaults(func=_cmd_b_entry)
 
-    s = sub.add_parser("jacobi-decompose", parents=[common],
+    s = sub.add_parser("jacobi-decompose", parents=[common, infile, outfile],
                        help="theta decomposition of stored Jacobi data")
-    s.add_argument("--in", dest="infile", metavar="FILE", required=True)
-    s.add_argument("--out", metavar="FILE")
     s.set_defaults(func=_cmd_jacobi_decompose)
 
-    s = sub.add_parser("jacobi-reconstruct", parents=[common],
+    s = sub.add_parser("jacobi-reconstruct", parents=[common, infile, outfile],
                        help="rebuild Jacobi data from theta components")
-    s.add_argument("--in", dest="infile", metavar="FILE", required=True)
-    s.add_argument("--out", metavar="FILE")
     s.set_defaults(func=_cmd_jacobi_reconstruct)
 
-    s = sub.add_parser("jacobi-thm2", parents=[common],
+    s = sub.add_parser("jacobi-thm2", parents=[common, infile, outfile],
                        help="composite map to the scalar plus space")
-    s.add_argument("--in", dest="infile", metavar="FILE", required=True)
-    s.add_argument("--out", metavar="FILE")
     s.add_argument("--allow-composite", action="store_true")
     s.set_defaults(func=_cmd_jacobi_thm2)
 
-    s = sub.add_parser("heat-check", parents=[common],
+    s = sub.add_parser("heat-check", parents=[common, index],
                        help="heat operator on a single theta term, exactly")
-    s.add_argument("--m", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
     s.set_defaults(func=_cmd_heat_check)
 
-    s = sub.add_parser("casimir-check", parents=[common],
+    s = sub.add_parser("casimir-check", parents=[common, infile],
                        help="finite-difference reduced Casimir operator")
-    s.add_argument("--in", dest="infile", metavar="FILE", required=True)
     s.add_argument("--tau", default="i")
     s.add_argument("--z", default="0.1+0.05i")
     s.add_argument("--h", type=float, default=1e-3)
@@ -623,6 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", parents=[common],
                        help="seeded battery over all exact identities")
+    s.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for the randomized corpora")
     s.set_defaults(func=_cmd_selftest)
 
     return p

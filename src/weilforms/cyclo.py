@@ -220,18 +220,6 @@ class CyclotomicNumber:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CyclotomicNumber(self._order, [-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Rational):
             q = Fraction(other)
@@ -317,12 +305,6 @@ class CyclotomicNumber:
         """Numeric value at zeta_N = exp(2 pi i/N), certified to `precision` bits."""
         return embed_with_roots(self, precision, {})
 
-    def embed(self, precision: int = 53) -> complex:
-        """Value as a Python complex; certified internally, then rounded."""
-        if precision < 53:
-            raise ValueError("precision below double precision is not supported")
-        return complex(self.embed_mpc(precision))
-
     # -- serialization / display ----------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -330,12 +312,6 @@ class CyclotomicNumber:
             "N": self._order,
             "coeffs": [[str(c), j] for j, c in enumerate(self._coeffs) if c],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CyclotomicNumber":
-        n = int(data["N"])
-        d = {int(j): Fraction(s) for s, j in data["coeffs"]}
-        return cls.from_exponent_dict(n, d)
 
     def __repr__(self):
         if self.is_zero():

@@ -71,10 +71,6 @@ class DiscriminantForm:
         """Q(gamma) = gamma^2 / 4m as a fraction in [0, 1)."""
         return Fraction(gamma * gamma, 4 * self._m) % 1
 
-    def bilinear(self, gamma: int, delta: int) -> Fraction:
-        """(gamma, delta) = gamma*delta / 2m as a fraction in [0, 1)."""
-        return Fraction(gamma * delta, 2 * self._m) % 1
-
     def s_factor(self, gamma: int) -> int:
         """2 unless gamma is its own negative mod 2m (gamma = 0 or m)."""
         return 1 if gamma % (2 * self._m) in (0, self._m) else 2

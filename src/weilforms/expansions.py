@@ -230,9 +230,6 @@ class VectorForm:
     def k(self) -> int:
         return (self.weight_num - 1) // 2
 
-    def component(self, gamma: int) -> HarmonicExpansion:
-        return self.components[gamma % self.df.size]
-
     def support_congruence_ok(self) -> bool:
         """Indices of component gamma lie in Z + Q(gamma) (Z - Q(gamma) if dual)."""
         sign = -1 if self.dual else 1
@@ -478,12 +475,13 @@ class SCheckReport:
 
 
 def verify_S_transform(form: VectorForm, points, tolerance: float = 1e-8, *,
-                       growth_exponent=None, precision: int | None = None) -> SCheckReport:
+                       precision: int | None = None) -> SCheckReport:
     """Check F(-1/tau) = tau^(k+1/2) rho(S) F(tau) numerically at sample points.
 
     Uses the dual (conjugated) S-matrix when the form is of dual type.  The
     evaluation windows must be wide enough that the combined truncation
-    bounds stay below tolerance/4, otherwise TruncationError propagates.
+    bounds, under eval_point's default growth exponent, stay below
+    tolerance/4, otherwise TruncationError propagates.
     """
     from mpmath import mp, mpf, sqrt
 
@@ -504,14 +502,8 @@ def verify_S_transform(form: VectorForm, points, tolerance: float = 1e-8, *,
         budget = tolerance / (4 * (1 + float(row_norm)))
         for p in points:
             t = _to_mpc(p)
-            left_vals, bl = eval_point(
-                form, -1 / t, accuracy=budget, growth_exponent=growth_exponent,
-                precision=prec,
-            )
-            right_vals, br = eval_point(
-                form, t, accuracy=budget, growth_exponent=growth_exponent,
-                precision=prec,
-            )
+            left_vals, _ = eval_point(form, -1 / t, accuracy=budget, precision=prec)
+            right_vals, _ = eval_point(form, t, accuracy=budget, precision=prec)
             factor = t**k * sqrt(t)
             worst = mpf(0)
             for g in range(dim):

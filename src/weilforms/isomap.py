@@ -331,7 +331,6 @@ def gauss_sum_identity_check(m: int) -> bool:
 
 def f_j_consistency_check(f: HarmonicExpansion, m: int, k: int, j: int,
                           points, tolerance: float = 1e-8, *,
-                          growth_exponent=None,
                           precision: int | None = None) -> SCheckReport:
     """Numeric check of the twisted S-identity behind the splitting map.
 
@@ -344,7 +343,9 @@ def f_j_consistency_check(f: HarmonicExpansion, m: int, k: int, j: int,
     coefficients and eps_j in place of its inverse, as forced by
     conjugating the S-matrix identity.  The identity holds only for
     expansions of actual modular forms, so corrupted input shows up as a
-    deviation above tolerance rather than an error.
+    deviation above tolerance rather than an error.  Each evaluation must
+    meet tolerance/(4(1 + 2m)) under eval_point's default growth exponent,
+    otherwise TruncationError propagates.
     """
     from mpmath import mp, mpc, sqrt
 
@@ -373,10 +374,8 @@ def f_j_consistency_check(f: HarmonicExpansion, m: int, k: int, j: int,
         deviations = []
         for p in points:
             t = mpc(p)
-            lvals, _ = eval_point(F, -1 / t, accuracy=budget,
-                                  growth_exponent=growth_exponent, precision=prec)
-            rvals, _ = eval_point(F, t, accuracy=budget,
-                                  growth_exponent=growth_exponent, precision=prec)
+            lvals, _ = eval_point(F, -1 / t, accuracy=budget, precision=prec)
+            rvals, _ = eval_point(F, t, accuracy=budget, precision=prec)
             lhs = sum(lc[g] * lvals[g] for g in range(dim))
             rhs = front * t**k * sqrt(t) * sum(rc[g] * rvals[g] for g in range(dim))
             deviations.append(abs(lhs - rhs))

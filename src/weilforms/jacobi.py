@@ -228,14 +228,12 @@ def _class_sum(m: int, d: int, rc: int, tau, z, radius: int):
 
 
 def theta_series_eval(m: int, mu: int, tau, z, truncation: int, *,
-                      accuracy: float | None = None,
                       precision: int | None = None):
     """Truncated sum of q^(r^2/4m) zeta^r over r = mu mod 2m, with tail bound.
 
     Returns (value, bound); the bound covers |r| > truncation under the
     Gaussian decay of the summand, and the call is rejected when the
-    radius is too small to control the zeta^r growth at this z (or when
-    an explicit `accuracy` is given and the bound exceeds it).
+    radius is too small to control the zeta^r growth at this z.
     """
     from mpmath import mp, mpc
 
@@ -243,10 +241,6 @@ def theta_series_eval(m: int, mu: int, tau, z, truncation: int, *,
     with mp.workprec(prec):
         t, zz, radius = mpc(tau), mpc(z), int(truncation)
         bound = _theta_tail(m, t, zz, radius)
-        if accuracy is not None and not bound <= accuracy:
-            raise TruncationError(
-                f"theta tail bound {float(bound):.3g} exceeds accuracy {accuracy:.3g}"
-            )
         return _class_sum(m, 0, mu, t, zz, radius), bound
 
 
@@ -257,7 +251,7 @@ def _theta_truncation_for(m: int, y: mpf, v: mpf, margin: float) -> int:
     alpha = float(pi) * float(y) / (2 * m)
     beta = 2 * float(pi) * abs(float(v))
     if alpha <= 0:
-        raise ValueError("need Im tau > 0")
+        raise ValueError("tau must lie in the upper half plane")
     # solve alpha R^2 - beta R >= margin and keep a couple of spare steps
     return int(ceil((beta + _fsqrt(beta * beta + 4 * alpha * margin)) / (2 * alpha))) + 2
 
@@ -404,26 +398,27 @@ class JacobiConsistencyReport:
 
 
 def decomposition_consistency_check(phi: JacobiForm, points, *,
-                                    truncation: int = 60,
                                     precision: int | None = None) -> JacobiConsistencyReport:
     """Compare direct evaluation of phi with sum_mu h_mu(tau) theta_mu(tau, z).
 
     The two routes group the same Fourier terms differently and compute
     their exponents and Gamma factors through different bookkeeping, so
     agreement within the combined truncation bounds certifies the
-    decomposition display on stored data.
+    decomposition display on stored data.  Both routes sum each theta
+    class over |r| <= 60.
     """
     from mpmath import mp, mpc, mpf
 
     prec = precision or default_precision()
     m = phi.m
     comps = _numeric_components(phi)
+    radius = 60
     deviations, bounds, slack = [], [], []
     with mp.workprec(prec):
         for tau, z in points:
-            direct, direct_bound = jacobi_eval_direct(phi, tau, z, truncation,
+            direct, direct_bound = jacobi_eval_direct(phi, tau, z, radius,
                                                       precision=prec)
-            t, zz, radius = mpc(tau), mpc(z), int(truncation)
+            t, zz = mpc(tau), mpc(z)
             tb = _theta_tail(m, t, zz, radius)  # one bound serves all 2m classes
             total = mpc(0)
             combined = direct_bound
@@ -440,20 +435,20 @@ def decomposition_consistency_check(phi: JacobiForm, points, *,
 
 
 def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
-                       theta_truncation: int | None = None,
-                       precision: int | None = None,
-                       component_accuracy: float = 1e-20):
+                       precision: int | None = None):
     """Finite-difference reduced Casimir operator at (tau, z).
 
     Applies -2 Delta_{k-1/2} (in tau) plus ((tau - taubar)^2 / 4 pi i m)
     d_taubar d_z d_z to the evaluated form; `target` is a JacobiForm
     (evaluated through its theta decomposition) or a callable
     (tau, z) -> value.  A JacobiForm's components h_mu are evaluated once
-    per stencil tau and shared by the z stencil; the theta tail is checked
-    once, at the stencil point of least Im tau, and each theta class is
-    summed by _class_sum with no tail of its own.  Harmonic decomposition
-    components make the result O(h^2); a non-harmonic component leaves a
-    residual bounded away from 0.
+    per stencil tau, each to accuracy 1e-20, and shared by the z stencil.
+    The theta radius comes from _theta_truncation_for (tail below
+    e^-(0.7 precision + 40)), the tail is checked once, at the stencil
+    point of least Im tau, and each theta class is summed by _class_sum
+    with no tail of its own.  A stencil leaving the upper half plane
+    raises ValueError.  Harmonic decomposition components make the result
+    O(h^2); a non-harmonic component leaves a residual bounded away from 0.
     """
     from mpmath import mp, mpc, mpf, pi
 
@@ -466,10 +461,8 @@ def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
             if target.k != k or target.m != m:
                 raise ValueError("weight/index disagree with the stored form")
             comps = _numeric_components(target)
-            if theta_truncation is None:
-                theta_truncation = _theta_truncation_for(
-                    m, tau0.imag - 2 * hh, abs(z0.imag) + 2 * hh, 0.7 * prec + 40)
-            radius = int(theta_truncation)
+            radius = _theta_truncation_for(
+                m, tau0.imag - 2 * hh, abs(z0.imag) + 2 * hh, 0.7 * prec + 40)
             # the z stencil moves along the real axis, so the theta tail is
             # worst at the least Im tau: one check there covers all 17 points
             _theta_tail(m, tau0 - 1j * hh, z0, radius)
@@ -478,8 +471,8 @@ def casimir_reduced_fd(target, k: int, m: int, point, h: float = 1e-3, *,
 
             def phi_eval(t, zz):
                 if t not in h_at:
-                    h_at[t] = [eval_point(c, t, accuracy=component_accuracy,
-                                          precision=prec)[0] for c in comps.values()]
+                    h_at[t] = [eval_point(c, t, accuracy=1e-20, precision=prec)[0]
+                               for c in comps.values()]
                 total = mpc(0)
                 for g, hv in enumerate(h_at[t]):
                     total += hv * _class_sum(m, 0, g, t, zz, radius)

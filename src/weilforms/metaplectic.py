@@ -25,14 +25,8 @@ Z-power of a word is kept explicit rather than expanded into S's.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-def _principal_phi(c: int, d: int, tau: complex) -> complex:
-    w = complex(d) if c == 0 else c * tau + d
-    return cmath.sqrt(w)
 
 
 @dataclass(frozen=True)
@@ -53,21 +47,11 @@ class MpElement:
     def matrix(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def act(self, tau: complex) -> complex:
-        return (self.a * tau + self.b) / (self.c * tau + self.d)
-
-    def phi(self, tau: complex) -> complex:
-        """Value of the branch at tau."""
-        return self.eps * _principal_phi(self.c, self.d, tau)
-
     def inv(self) -> "MpElement":
         cand = MpElement(self.d, -self.b, -self.c, self.a, 1)
         if mp_mul(self, cand) == MP_IDENTITY:
             return cand
         return MpElement(self.d, -self.b, -self.c, self.a, -1)
-
-    def __matmul__(self, other: "MpElement") -> "MpElement":
-        return mp_mul(self, other)
 
     def __repr__(self):
         sign = "+" if self.eps == 1 else "-"

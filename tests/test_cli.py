@@ -34,6 +34,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["milgram", "--m", "3", "--signature", "fish"]) == 1
     assert run(["eval", "--builtin", "nope"]) == 1
+    assert run(["milgram", "--m", "3", "--seed", "7"]) == 1  # --seed is selftest's
     capsys.readouterr()
 
 
@@ -175,6 +176,11 @@ REPORT_DIGESTS = {
     "rho --m 12 --word S": "b57ecf2d39ffe4062c33d04e2fd59e13827e423844f02ce31338da366c3ba712",
     "rho --m 8 --word \"S T S\" --dual": "a97f1fc9bad8e4e3b2b4a641c3aa10381d686b1da490d22d4c6d630531ac8a01",
     "b-entry --m 11 --beta 3 --gamma 8": "22ada2b41a0bd5fe72b315d16be8cbe2fcb19ab256797ce03141fa7bbaf31a77",
+    # the numeric reports, at the default 128 bits
+    "check-S --builtin theta --points \"i;0.3+1.1i\"": "ca48508d68107255e922fc3aae75d723e6921c82fe586676bb9ce62f48328cc2",
+    "fj-check --builtin theta --j 3": "bfc119aba399511e8e1073bcb080892eb1c9f4a1755ef872690a46a19283aff6",
+    "eval --builtin theta --points \"i;0.3+1.1i\"": "d84263fd0a5ebd4aca84fa0a4f2cdfa3c05414a58c07b1c22d504356cb4c2635",
+    "selftest": "cb9299cc6f81215d93a9ac00269556b0b6f8a17cd2620b0881db24586b9e8ae6",
 }
 
 

@@ -1,4 +1,5 @@
-"""scipy and sympy are test-only oracles: no module of the package imports them."""
+"""scipy and sympy are test-only oracles: no module of the package imports them.
+The exact modules import no cmath either, so no float decides an exact check."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import weilforms
 
 ORACLES = {"scipy", "sympy"}
+EXACT = ("arith", "cyclo", "discform", "metaplectic", "weilrep")
 
 
 def _imported_roots(tree):
@@ -31,3 +33,11 @@ def test_package_does_not_import_test_oracles():
     for path in sources:
         found = ORACLES & set(_imported_roots(ast.parse(path.read_text(), str(path))))
         assert not found, f"{path.name} imports {sorted(found)}"
+
+
+def test_exact_modules_do_not_import_cmath():
+    package = Path(weilforms.__file__).parent
+    for name in EXACT:
+        path = package / f"{name}.py"
+        roots = set(_imported_roots(ast.parse(path.read_text(), str(path))))
+        assert "cmath" not in roots, f"{name}.py imports cmath"

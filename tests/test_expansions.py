@@ -218,10 +218,10 @@ def test_vector_form_structure():
     comp = HarmonicExpansion(1, {Fraction(1, 8): 1}, window=(-1, 1))
     with pytest.raises(ValueError):
         VectorForm(df, 3, {1: comp})      # weight mismatch
-    F = VectorForm(df, 1, {1: comp})
-    assert F.component(5) == comp         # index mod 2m
-    assert F.component(0).is_zero()       # filled with the shared window
-    assert F.component(0).window == (-1, 1)
+    F = VectorForm(df, 1, {5: comp})      # index mod 2m
+    assert F.components[1] == comp
+    assert F.components[0].is_zero()      # filled with the shared window
+    assert F.components[0].window == (-1, 1)
     assert F.support_congruence_ok()
     assert not F.is_symmetric()
 
